@@ -17,15 +17,18 @@ Slices serialize to JSON lines:
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import MalformedLine, NegativeDelta, OverlappingSlices
 from .jobs import UNATTRIBUTED_JOB, PidTimeline, ownership_index
 from .traces import CPU, GPU, ProcSnapshot, TraceBundle, _dumps, _field_num, _field_str, iter_records
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy and the thread pool are imported where attribute() uses them, so
+# that reading, integrating and reporting saved slices never load them.
 
 J_PER_KWH = 3.6e6
 
@@ -165,6 +168,8 @@ def gpu_shares(
 
 
 def _series_by_key(bundle: TraceBundle) -> dict[tuple[str, str, int | None], tuple[np.ndarray, np.ndarray]]:
+    import numpy as np
+
     grouped: dict[tuple[str, str, int | None], list[tuple[float, float]]] = {}
     for s in bundle.power:
         grouped.setdefault((s.node_id, s.source.kind, s.source.index), []).append((s.ts, s.power_w))
@@ -178,6 +183,8 @@ def _series_by_key(bundle: TraceBundle) -> dict[tuple[str, str, int | None], tup
 
 
 def _interp_covered(ts: np.ndarray, watts: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     # linear interpolation within the series span only; no extrapolation
     values = np.interp(query, ts, watts)
     covered = (query >= ts[0]) & (query <= ts[-1])
@@ -190,6 +197,8 @@ def _node_slices(
     series: dict[tuple[str, str, int | None], tuple[np.ndarray, np.ndarray]],
     own_index,
 ) -> list[AttributionSlice]:
+    import numpy as np
+
     ts_list = sorted(by_ts)
     if len(ts_list) < 2:
         return []
@@ -289,6 +298,8 @@ def attribute(
     if threads == 1 or len(nodes) < 2:
         per_node = [_node_slices(n, by_node[n], series, own_index) for n in nodes]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_node = list(pool.map(lambda n: _node_slices(n, by_node[n], series, own_index), nodes))
     out: list[AttributionSlice] = []

@@ -16,11 +16,8 @@ baseline visible in the error figures rather than hidden in an intercept.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .attribution import AttributionSlice, JobPower
 from .errors import DegenerateInput, MalformedLine, NodeMismatch
@@ -56,6 +53,8 @@ def fit_scale(
             or the fitted scale is not positive.
         ValueError: length mismatch or negative readings.
     """
+    import numpy as np  # here and in fit_nodes only, so applying a model never loads it
+
     s = np.asarray(software_w, dtype=float)
     e = np.asarray(external_w, dtype=float)
     if s.shape != e.shape or s.ndim != 1:
@@ -160,6 +159,8 @@ def fit_nodes(
     Raises:
         DegenerateInput: no node yields a usable fit.
     """
+    import numpy as np
+
     soft_series: dict[str, list[list[PowerSample]]] = {}
     grouped: dict[tuple[str, object], list[PowerSample]] = {}
     for s in software:

@@ -24,7 +24,7 @@ from .analytics import MEM_PCT, SM_PCT, aggregate_by_status, aggregate_by_user, 
 from .attribution import attribute, integrate_energy, parse_slices, serialize_slices
 from .calibration import CalibrationModel, apply_calibration, fit_nodes, parse_models, serialize_models
 from .errors import TraceError, WattscopeError
-from .jobs import UNATTRIBUTED_JOB, build_timelines, ownership_index, parse_jobs, parse_pidmap
+from .jobs import UNATTRIBUTED_JOB, JobRecord, build_timelines, ownership_index, parse_jobs, parse_pidmap
 from .traces import EXT, TraceBundle, parse_power_trace, parse_proc_trace
 
 ENV_PREFIX = "WATTSCOPE_"
@@ -203,14 +203,16 @@ def _require(cfg: RunConfig, names: Sequence[str], context: str):
         raise _UsageError(f"{context} requires {', '.join(missing)}")
 
 
-def _load_slices(cfg: RunConfig):
+def _load_slices(cfg: RunConfig, jobs: Sequence[JobRecord] | None = None):
+    """Read saved slices, or compute them; jobs, when given, is the parsed --jobs file."""
     if cfg.slices is not None:
         return _parse_file(cfg.slices, parse_slices)
     _require(cfg, ("power", "proc", "pidmap", "jobs"), "computing slices")
     power = _parse_file(cfg.power, parse_power_trace)
     procs = _parse_file(cfg.proc, parse_proc_trace)
     pidmap = _parse_file(cfg.pidmap, parse_pidmap)
-    jobs = _parse_file(cfg.jobs, parse_jobs)
+    if jobs is None:
+        jobs = _parse_file(cfg.jobs, parse_jobs)
     timelines = build_timelines(pidmap, jobs)
     return attribute(TraceBundle.build(power, procs), timelines, threads=cfg.threads)
 
@@ -228,7 +230,7 @@ def _apply_models(slices, models: Sequence[CalibrationModel], err: TextIO):
     for node in sorted(grouped):
         model = by_node.get(node)
         if model is None:
-            err.write(f"note: no calibration model for node {node}; external column left unscaled\n")
+            err.write(f"note: no calibration model for node {node}; its external energy counts as 0\n")
             out.extend(grouped[node])
         else:
             out.extend(apply_calibration(model, grouped[node]))
@@ -324,7 +326,7 @@ def _cmd_report(cfg: RunConfig, what: str, out: TextIO, err: TextIO) -> int:
 
     _require(cfg, ("jobs",), f"report {what}")
     jobs = _parse_file(cfg.jobs, parse_jobs)
-    slices = _load_slices(cfg)
+    slices = _load_slices(cfg, jobs)
     if cfg.model is not None:
         models = _parse_file(cfg.model, parse_models)
         slices = _apply_models(slices, models, err)

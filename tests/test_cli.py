@@ -174,6 +174,50 @@ class TestAttribute:
         assert "--threads" in err
 
 
+class TestDuplicateProcRecords:
+    """Two records for one (node, ts, pid): the second used to win silently."""
+
+    def two_jobs(self, tmp_path, proc):
+        power = [json.dumps({"node": "n1", "src": "cpu0", "ts": t, "w": 100.0}) for t in (0.0, 2.0)]
+        jobs = [
+            json.dumps({"job": j, "user": "u", "node": "n1", "submit": 0.0, "start": 0.0, "end": 2.0, "status": "COMPLETED"})
+            for j in (7, 8)
+        ]
+        return [
+            "attribute",
+            "--power", write_lines(tmp_path / "power.jsonl", power),
+            "--proc", write_lines(tmp_path / "proc.jsonl", proc),
+            "--pidmap", write_lines(tmp_path / "pidmap.jsonl", [json.dumps({"node": "n1", "ts": 0.0, "map": [[41, 7], [42, 8]]})]),
+            "--jobs", write_lines(tmp_path / "jobs.jsonl", jobs),
+        ]
+
+    def proc(self, node, ts, pid, cpu_s):
+        return json.dumps({"node": node, "ts": ts, "pid": pid, "cpu_s": cpu_s})
+
+    def test_equal_work_splits_evenly(self, tmp_path):
+        proc = [self.proc("n1", 0.0, 41, 0.0), self.proc("n1", 0.0, 42, 0.0),
+                self.proc("n1", 1.0, 41, 1.0), self.proc("n1", 1.0, 42, 1.0)]
+        code, out, _ = run_cli(*self.two_jobs(tmp_path, proc))
+        assert code == 0
+        (s,) = parse_slices(out.splitlines())
+        assert (s.per_job[7].cpu_w, s.per_job[8].cpu_w) == (50.0, 50.0)
+
+    def test_duplicate_record_is_rejected_with_file_and_line(self, tmp_path):
+        # the second pid-42 record at ts 1.0 would turn the 50/50 split into 10/90
+        proc = [self.proc("n1", 0.0, 41, 0.0), self.proc("n1", 0.0, 42, 0.0),
+                self.proc("n1", 1.0, 41, 1.0), self.proc("n1", 1.0, 42, 1.0), self.proc("n1", 1.0, 42, 9.0)]
+        argv = self.two_jobs(tmp_path, proc)
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: MalformedLine: ")
+        assert f"{argv[argv.index('--proc') + 1]}: line 5: duplicate record for pid 42" in err
+        for command in (["validate"], ["report", "status"], ["report", "gpu-hist"]):
+            code, out, err = run_cli(*command, *argv[1:])
+            assert (code, out) == (1, ""), command
+            assert "line 5" in err
+
+
 class TestCalibrate:
     def test_text_and_model_file(self, fixture, tmp_path):
         model_path = tmp_path / "model.jsonl"
@@ -298,6 +342,28 @@ class TestReport:
         assert code == 0
         assert "note: no calibration model for node n1" in err
         assert out.splitlines()[0].startswith("status,")
+
+    def test_partial_model_note_says_uncovered_ext_energy_is_zero(self, fixture, tmp_path):
+        other = write_lines(tmp_path / "other_model.jsonl", [json.dumps({"node": "zz", "k": 2.0, "mape_pct": 0.0, "n": 10})])
+        argv = report_argv(fixture, "status", "--format", "csv")
+        argv[argv.index("--model") + 1] = other
+        code, out, err = run_cli(*argv)
+        assert code == 0
+        assert err == "note: no calibration model for node n1; its external energy counts as 0\n"
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert all(r[4] == "0" for r in rows)
+
+    def test_raw_trace_report_reads_the_jobs_file_once(self, fixture, monkeypatch):
+        import wattscope.cli as cli
+
+        calls = []
+        parse_jobs = cli.parse_jobs
+        monkeypatch.setattr(cli, "parse_jobs", lambda fh: calls.append(fh.name) or parse_jobs(fh))
+        for what in ("status", "user"):
+            calls.clear()
+            code, _, _ = run_cli(*report_argv(fixture, what))
+            assert code == 0
+            assert calls == [fixture["jobs"]]
 
     def test_duplicate_models_rejected(self, fixture, tmp_path):
         dup = write_lines(

@@ -23,6 +23,7 @@ from wattscope import (
     serialize_power_trace,
     serialize_proc_trace,
 )
+from wattscope import traces
 from helpers import lerp_series, ms, power_sample, proc_snap
 
 
@@ -47,6 +48,17 @@ class TestParsePowerTrace:
     def test_unknown_keys_ignored(self):
         (s,) = parse_power_trace([power_line(comment="hi", v=12)])
         assert s.power_w == 100.0
+
+    def test_binary_file_parses_like_text(self, tmp_path):
+        path = tmp_path / "power.jsonl"
+        path.write_text("\n".join([power_line(ts=1.0), "", power_line(src="ext", ts=2.0)]) + "\n", encoding="utf-8")
+        with open(path, "rb") as fh:
+            from_bytes = parse_power_trace(fh)
+        with open(path, encoding="utf-8") as fh:
+            assert from_bytes == parse_power_trace(fh)
+        with pytest.raises(MalformedLine) as exc:
+            parse_power_trace([b'{"node":"n1"} x'])
+        assert exc.value.line_no == 1
 
     def test_blank_lines_skipped(self):
         samples = parse_power_trace(["", power_line(), "   \n"])
@@ -334,3 +346,145 @@ class TestResample:
         for c, x, y in zip(combo, left, right):
             want = a * x + b * y
             assert c == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+class TestDuplicateProcRecords:
+    def test_second_record_for_node_ts_pid_is_located(self):
+        lines = [proc_line(ts=1.0, pid=41), proc_line(ts=1.0, pid=42), proc_line(ts=1.0, pid=42, cpu_s=9.0)]
+        with pytest.raises(MalformedLine) as exc:
+            parse_proc_trace(lines)
+        assert exc.value.line_no == 3
+        assert "duplicate record for pid 42" in str(exc.value)
+
+    def test_non_adjacent_duplicate_is_caught(self):
+        lines = [
+            proc_line(ts=1.0, pid=42, cpu_s=1.0),
+            proc_line(ts=2.0, pid=42, cpu_s=2.0),
+            proc_line(ts=1.0, pid=43, cpu_s=0.0),
+            proc_line(ts=1.0, pid=42, cpu_s=3.0),
+        ]
+        with pytest.raises(MalformedLine) as exc:
+            parse_proc_trace(lines)
+        assert exc.value.line_no == 4
+
+    def test_duplicate_found_after_canonicalization(self):
+        with pytest.raises(MalformedLine) as exc:
+            parse_proc_trace([proc_line(ts=1.0), proc_line(ts=1.0001)])
+        assert exc.value.line_no == 2
+
+    def test_same_pid_and_ts_on_other_node_is_not_a_duplicate(self):
+        lines = [proc_line(ts=1.0, pid=42), proc_line(node="n2", ts=1.0, pid=42), proc_line(ts=2.0, pid=42)]
+        assert len(parse_proc_trace(lines)) == 3
+
+
+def _power_oracle(obj, line_no, expected_kind=None):
+    """The documented field order, checked with the _field_* helpers only."""
+    node = traces._field_str(obj, "node", line_no)
+    src = obj.get("src")
+    if not isinstance(src, str):
+        raise MalformedLine(line_no, "missing or invalid 'src'")
+    try:
+        source = parse_source(src)
+    except ValueError as exc:
+        raise MalformedLine(line_no, str(exc)) from None
+    if expected_kind is not None and source.kind != expected_kind:
+        raise MalformedLine(line_no, f"expected a {expected_kind!r} source, got {src!r}")
+    ts = canonical_ts(traces._field_num(obj, "ts", line_no))
+    w = traces._field_num(obj, "w", line_no)
+    if w < 0:
+        raise NegativePower(line_no)
+    return PowerSample(node, source, ts, w)
+
+
+def _proc_oracle(obj, line_no):
+    node = traces._field_str(obj, "node", line_no)
+    ts = canonical_ts(traces._field_num(obj, "ts", line_no))
+    pid = traces._field_int(obj, "pid", line_no, minimum=1)
+    cpu_s = traces._field_num(obj, "cpu_s", line_no)
+    if cpu_s < 0:
+        raise MalformedLine(line_no, "negative cumulative cpu time")
+    gpu = traces._field_int(obj, "gpu", line_no, minimum=0, required=False)
+    sm = traces._field_num(obj, "sm_pct", line_no, required=False)
+    mem = traces._field_num(obj, "mem_mib", line_no, required=False)
+    if gpu is None and (sm is not None or mem is not None):
+        raise MalformedLine(line_no, "gpu utilization without a gpu index")
+    if sm is not None and not 0.0 <= sm <= 100.0:
+        raise OutOfRangeUtilization(line_no, f"sm_pct {sm} outside [0, 100]")
+    if mem is not None and mem < 0:
+        raise OutOfRangeUtilization(line_no, f"negative mem_mib {mem}")
+    return ProcSnapshot(node, ts, pid, cpu_s, gpu, sm, mem)
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except TraceError as exc:
+        return (type(exc), exc.line_no, str(exc))
+
+
+# JSON text substituted for a field: each kind of bad value, plus valid edge values
+_VALUES = {
+    "bool": "true",
+    "string": '"1"',
+    "empty string": '""',
+    "1e999": "1e999",
+    "huge int": "1" + "0" * 400,
+    "negative": "-1",
+    "negative zero": "-0.0",
+    "zero": "0",
+    "int": "7",
+    "float": "55.5",
+    "above 100": "100.5",
+    "null": "null",
+    "missing": None,
+}
+_BASE_POWER = {"node": "n1", "src": "gpu0", "ts": 2.0, "w": 50.0}
+_BASE_PROC = {"node": "n1", "ts": 2.0, "pid": 42, "cpu_s": 3.0, "gpu": 0, "sm_pct": 50.0, "mem_mib": 10.0}
+
+
+def _with_value(base, key, text):
+    obj = dict(base)
+    if text is None:
+        del obj[key]
+        return json.dumps(obj)
+    obj[key] = "@"
+    return json.dumps(obj).replace('"@"', text)
+
+
+class TestOnePassParsersMatchFieldHelpers:
+    """Every record gets the outcome of the field-by-field checks: the same
+    values, or the same exception class, line number and message."""
+
+    @pytest.mark.parametrize("value", sorted(_VALUES))
+    @pytest.mark.parametrize("key", ["node", "src", "ts", "w"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["first-line", "after-valid-line"])
+    def test_power(self, key, value, warm):
+        line = _with_value(_BASE_POWER, key, _VALUES[value])
+        # the warm variant has already parsed "gpu0" on another node
+        lines = [power_line(node="n0", src="gpu0", ts=9.0)] if warm else []
+        expected = _outcome(_power_oracle, json.loads(line), len(lines) + 1)
+        got = _outcome(lambda: parse_power_trace(lines + [line])[-1])
+        assert got == expected
+
+    @pytest.mark.parametrize("value", sorted(_VALUES))
+    @pytest.mark.parametrize("key", ["node", "ts", "pid", "cpu_s", "gpu", "sm_pct", "mem_mib"])
+    def test_proc(self, key, value):
+        line = _with_value(_BASE_PROC, key, _VALUES[value])
+        lines = [proc_line(ts=9.0, pid=41)]
+        expected = _outcome(_proc_oracle, json.loads(line), 2)
+        got = _outcome(lambda: parse_proc_trace(lines + [line])[-1])
+        assert got == expected
+
+    @pytest.mark.parametrize("kind", [None, "gpu", "ext"])
+    @pytest.mark.parametrize("tag", ["cpu0", "cpu00", "gpu12", "ext", "gpu", "cpu-1", "cpu\u00b2", "EXT", ""])
+    def test_source_tags_and_expected_kind(self, tag, kind):
+        lines = [power_line(node="n1", src=tag), power_line(node="n2", src=tag)]
+        first, second = (_outcome(_power_oracle, json.loads(l), i, kind) for i, l in enumerate(lines, 1))
+        got = _outcome(parse_power_trace, lines, kind)
+        assert got == (("ok", [first[1], second[1]]) if first[0] == "ok" else first)
+
+    def test_equivalent_tags_share_one_series(self):
+        # "cpu00" is the cpu0 series, so its equal timestamp is a regression
+        with pytest.raises(NonMonotonicTimestamp) as exc:
+            parse_power_trace([power_line(src="cpu0", ts=1.0), power_line(src="cpu00", ts=1.0)])
+        assert exc.value.line_no == 2
