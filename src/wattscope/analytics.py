@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 from .attribution import J_PER_KWH, JobEnergy
 from .errors import MissingCapacity, UnknownJob
 from .jobs import KNOWN_STATUSES, JobRecord
-from .traces import ProcSnapshot
+from .traces import ProcColumns, ProcSnapshot
 
 SHARE_COLUMNS = ("ext", "gpu", "cpu")
 
@@ -159,7 +159,7 @@ def aggregate_by_user(
 
 
 def gpu_histogram(
-    procs: Sequence[ProcSnapshot],
+    procs: Sequence[ProcSnapshot] | ProcColumns,
     metric: str = SM_PCT,
     n_bins: int = DEFAULT_BINS,
     gpu_mem_capacity_mib: Mapping[tuple[str, int], float] | None = None,
@@ -175,7 +175,8 @@ def gpu_histogram(
 
     When job_of is given, samples are grouped by job (samples whose pid
     maps to no job stay separate per pid) and the per-group mean is
-    binned instead of each raw sample.
+    binned instead of each raw sample.  procs may also be the columns of
+    read_proc_trace.
 
     Raises:
         MissingCapacity: MEM_PCT needs a capacity the map does not have.
@@ -186,33 +187,32 @@ def gpu_histogram(
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
 
+    cols = procs if isinstance(procs, ProcColumns) else ProcColumns.of(procs)
+    node_of = [cols.nodes[n] for n in cols.node_of]
     values: list[float] = []
     keyed: dict[object, list[float]] = {}
     excluded = 0
-    for snap in procs:
-        if snap.gpu_index is None:
+    # in file order, so per-group sums and the first missing capacity match the records'
+    for p, ts, g, sm, mem in zip(cols.proc, cols.ts, cols.gpu, cols.sm, cols.mem):
+        if g < 0:
             continue
-        if metric == SM_PCT:
-            raw = snap.gpu_sm_pct
-            if raw is None:
-                excluded += 1
-                continue
-            value = raw
-        else:
-            if snap.gpu_mem_mib is None:
-                excluded += 1
-                continue
-            capacity = (gpu_mem_capacity_mib or {}).get((snap.node_id, snap.gpu_index))
+        value = sm if metric == SM_PCT else mem
+        if value != value:  # NaN: not observed
+            excluded += 1
+            continue
+        if metric == MEM_PCT:
+            node, gpu = node_of[p], cols.gpus[g]
+            capacity = (gpu_mem_capacity_mib or {}).get((node, gpu))
             if capacity is None:
-                raise MissingCapacity(snap.gpu_index, snap.node_id)
+                raise MissingCapacity(gpu, node)
             if capacity <= 0:
-                raise ValueError(f"capacity for ({snap.node_id}, {snap.gpu_index}) must be positive")
-            value = min(100.0, 100.0 * snap.gpu_mem_mib / capacity)
+                raise ValueError(f"capacity for ({node}, {gpu}) must be positive")
+            value = min(100.0, 100.0 * value / capacity)
         if job_of is None:
             values.append(value)
         else:
-            owner = job_of(snap.node_id, snap.pid, snap.ts)
-            key: object = owner if owner is not None else ("pid", snap.node_id, snap.pid)
+            owner = job_of(node_of[p], cols.pids[p], ts)
+            key: object = owner if owner is not None else ("pid", node_of[p], cols.pids[p])
             keyed.setdefault(key, []).append(value)
 
     if job_of is not None:

@@ -16,19 +16,29 @@ Slices serialize to JSON lines:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import MalformedLine, NegativeDelta, OverlappingSlices
-from .jobs import UNATTRIBUTED_JOB, PidTimeline, ownership_index
-from .traces import CPU, GPU, ProcSnapshot, TraceBundle, _dumps, _field_num, _field_str, iter_records
+from .jobs import UNATTRIBUTED_JOB, OwnerIndex, PidTimeline, ownership_index
+from .traces import (
+    CPU,
+    GPU,
+    PowerColumns,
+    ProcColumns,
+    TraceBundle,
+    _dumps,
+    _field_num,
+    _field_str,
+    iter_records,
+    lerp_covered,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy and the thread pool are imported where attribute() uses them, so
-# that reading, integrating and reporting saved slices never load them.
+# numpy is imported where the split uses it, so that reading, integrating
+# and reporting saved slices never load it.
 
 J_PER_KWH = 3.6e6
 
@@ -86,6 +96,44 @@ class CoverageStats:
     n_excluded: int
 
 
+def _split(
+    weights: np.ndarray, present: np.ndarray, power: np.ndarray, mem: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each row's power in proportion to weights; returns (shares, has_share, unattributed).
+
+    Rows are slices, columns jobs by ascending id, UNATTRIBUTED first; totals
+    add columns in that order, as per-slice sums over sorted job ids do.  A
+    row with no positive total has no evidence of who worked and stays all
+    unattributed.  With mem, weights are summed sm_pct, falling back per row
+    to summed mem_mib and then to 1 per job present.
+    """
+    import numpy as np
+
+    if mem is not None:
+        fallback = np.where((mem > 0).any(axis=1, keepdims=True), mem, present * 1.0)
+        weights = np.where((weights > 0).any(axis=1, keepdims=True), weights, fallback)
+    total = np.zeros(len(power))
+    for j in range(weights.shape[1]):
+        total += weights[:, j]
+    ok = total > 0
+    shares = power[:, None] * (weights / np.where(ok, total, 1.0)[:, None])
+    has = present & ok[:, None]
+    return shares, has, np.where(ok, 0.0 + np.where(has[:, 0], shares[:, 0], 0.0), power)
+
+
+def _split_one(sums: Mapping[int, float], power: float, mem: Mapping | None = None) -> tuple[dict, float]:
+    """_split of one slice; with mem, sums are sm_pct and the GPU fallback applies."""
+    import numpy as np
+
+    jobs = [UNATTRIBUTED_JOB] + sorted(j for j in sums if j != UNATTRIBUTED_JOB)
+    present = np.array([[j in sums for j in jobs]])
+    weights = np.array([[sums.get(j, 0.0) for j in jobs]], dtype=float)
+    mem_w = None if mem is None else np.array([[mem.get(j, 0.0) for j in jobs]], dtype=float)
+    shares, has, unattr = _split(weights, present, np.array([power], dtype=float), mem_w)
+    per_job = {j: w for j, w, h in zip(jobs, shares[0].tolist(), has[0].tolist()) if h and j != UNATTRIBUTED_JOB}
+    return per_job, float(unattr[0])
+
+
 def cpu_shares(deltas: Mapping[int, float], node_power_w: float) -> tuple[dict[int, float], float]:
     """Split node CPU power proportionally to per-job cpu-time deltas.
 
@@ -105,18 +153,7 @@ def cpu_shares(deltas: Mapping[int, float], node_power_w: float) -> tuple[dict[i
     for job_id in sorted(deltas):
         if deltas[job_id] < 0:
             raise NegativeDelta(job_id)
-    total = sum(deltas[j] for j in sorted(deltas))
-    if total <= 0:
-        return {}, node_power_w
-    shares: dict[int, float] = {}
-    unattributed = 0.0
-    for job_id in sorted(deltas):
-        share = node_power_w * (deltas[job_id] / total)
-        if job_id == UNATTRIBUTED_JOB:
-            unattributed += share
-        else:
-            shares[job_id] = share
-    return shares, unattributed
+    return _split_one(deltas, node_power_w)
 
 
 def gpu_shares(
@@ -137,8 +174,6 @@ def gpu_shares(
     """
     if gpu_power_w < 0:
         raise ValueError("gpu power must be non-negative")
-    if not procs_on_gpu:
-        return {}, gpu_power_w
     sm_by_job: dict[int, float] = {}
     mem_by_job: dict[int, float] = {}
     for job_id, sm_pct, mem_mib in procs_on_gpu:
@@ -148,125 +183,113 @@ def gpu_shares(
             raise ValueError(f"negative mem_mib {mem_mib}")
         sm_by_job[job_id] = sm_by_job.get(job_id, 0.0) + (sm_pct or 0.0)
         mem_by_job[job_id] = mem_by_job.get(job_id, 0.0) + (mem_mib or 0.0)
-
-    if any(v > 0 for v in sm_by_job.values()):
-        weights = sm_by_job
-    elif any(v > 0 for v in mem_by_job.values()):
-        weights = mem_by_job
-    else:
-        weights = {job_id: 1.0 for job_id in sm_by_job}
-    total = sum(weights[j] for j in sorted(weights))
-    shares: dict[int, float] = {}
-    unattributed = 0.0
-    for job_id in sorted(weights):
-        share = gpu_power_w * (weights[job_id] / total)
-        if job_id == UNATTRIBUTED_JOB:
-            unattributed += share
-        else:
-            shares[job_id] = share
-    return shares, unattributed
+    return _split_one(sm_by_job, gpu_power_w, mem_by_job)
 
 
-def _series_by_key(bundle: TraceBundle) -> dict[tuple[str, str, int | None], tuple[np.ndarray, np.ndarray]]:
+def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns) -> list[AttributionSlice]:
+    """One node's slices from its records, sorted by (ts, pid), and its power series."""
     import numpy as np
 
-    grouped: dict[tuple[str, str, int | None], list[tuple[float, float]]] = {}
-    for s in bundle.power:
-        grouped.setdefault((s.node_id, s.source.kind, s.source.index), []).append((s.ts, s.power_w))
-    out = {}
-    for key, points in grouped.items():
-        points.sort()
-        ts = np.array([p[0] for p in points], dtype=float)
-        watts = np.array([p[1] for p in points], dtype=float)
-        out[key] = (ts, watts)
-    return out
-
-
-def _interp_covered(ts: np.ndarray, watts: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    # linear interpolation within the series span only; no extrapolation
-    values = np.interp(query, ts, watts)
-    covered = (query >= ts[0]) & (query <= ts[-1])
-    return values, covered
-
-
-def _node_slices(
-    node: str,
-    by_ts: dict[float, dict[int, ProcSnapshot]],
-    series: dict[tuple[str, str, int | None], tuple[np.ndarray, np.ndarray]],
-    own_index,
-) -> list[AttributionSlice]:
-    import numpy as np
-
-    ts_list = sorted(by_ts)
-    if len(ts_list) < 2:
+    ts, proc = rows["ts"], rows["proc"]
+    first = np.append(True, ts[1:] != ts[:-1])
+    tick = np.cumsum(first) - 1
+    ticks = ts[first]
+    n = len(ticks) - 1
+    if n < 1:
         return []
-    mids = np.array([(a + b) / 2.0 for a, b in zip(ts_list[:-1], ts_list[1:])])
+    mids = (ticks[:-1] + ticks[1:]) / 2.0
 
-    cpu_power = np.zeros(len(mids))
-    for key in sorted(series, key=lambda k: (k[1], k[2] if k[2] is not None else -1)):
-        if key[0] != node or key[1] != CPU:
-            continue
-        values, covered = _interp_covered(*series[key], mids)
-        cpu_power += np.where(covered, values, 0.0)
+    # owners under step-hold, as columns of the job axis [UNATTRIBUTED_JOB, node's jobs ascending]
+    snap_ts, maps = owners or ((), ())
+    jobs = [UNATTRIBUTED_JOB] + sorted({j for owner_of in maps for j in owner_of.values()})
+    column = {j: c for c, j in enumerate(jobs)}
+    snap = (np.searchsorted(np.asarray(snap_ts, dtype=float), ts, side="right") - 1).tolist()
+    col = np.array([column[maps[s].get(procs.pids[p], 0)] if s >= 0 else 0 for s, p in zip(snap, proc.tolist())])
+    n_jobs = len(jobs)
 
-    gpu_power: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for key in sorted(series, key=lambda k: (k[1], k[2] if k[2] is not None else -1)):
-        if key[0] == node and key[1] == GPU:
-            gpu_power[key[2]] = _interp_covered(*series[key], mids)
+    def per_job(key: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        return np.bincount(key, weights, minlength=n * n_jobs).reshape(n, n_jobs)
 
-    node_owners = own_index.get(node)
+    cpu_power = np.zeros(n)
+    for kind, _, s_ts, s_w in series:
+        if kind == CPU:
+            values, covered = lerp_covered(s_ts, s_w, mids)
+            cpu_power += np.where(covered, values, 0.0)
 
-    def owner_at(pid: int, t: float) -> int:
-        if node_owners is None:
-            return UNATTRIBUTED_JOB
-        i = bisect_right(node_owners[0], t) - 1
-        if i < 0:
-            return UNATTRIBUTED_JOB
-        return node_owners[1][i].get(pid, UNATTRIBUTED_JOB)
+    # a delta needs both endpoints; processes that appear or vanish
+    # mid-interval contribute nothing observable
+    by_proc = np.argsort(proc, kind="stable")
+    a, b = by_proc[:-1], by_proc[1:]
+    linked = (proc[a] == proc[b]) & (tick[b] == tick[a] + 1)
+    nxt = np.full(len(ts), -1)
+    nxt[a[linked]] = b[linked]
+    both = nxt >= 0
+    key = tick[both] * n_jobs + col[both]
+    deltas = per_job(key, rows["cpu"][nxt[both]] - rows["cpu"][both])
+    seen = per_job(key) > 0
+    negative = seen & (deltas < 0)
+    if negative.any():
+        raise NegativeDelta(jobs[int(np.argmax(negative[np.argmax(negative.any(axis=1))]))])
+    cpu_w, has_cpu, unattr_cpu = _split(deltas, seen, cpu_power)
 
-    slices: list[AttributionSlice] = []
-    for i, (t0, t1) in enumerate(zip(ts_list[:-1], ts_list[1:])):
-        at0 = by_ts[t0]
-        at1 = by_ts[t1]
-        deltas: dict[int, float] = {}
-        for pid in sorted(at0.keys() & at1.keys()):
-            # a delta needs both endpoints; processes that appear or
-            # vanish mid-interval contribute nothing observable
-            d = at1[pid].cpu_time_s - at0[pid].cpu_time_s
-            owner = owner_at(pid, t0)
-            deltas[owner] = deltas.get(owner, 0.0) + d
-        cpu_map, unattr_cpu = cpu_shares(deltas, float(cpu_power[i]))
+    # GPU activity is taken from the snapshot at interval start
+    gpu_w, has_gpu, unattr_gpu = np.zeros((n, n_jobs)), np.zeros((n, n_jobs), dtype=bool), np.zeros(n)
+    sm, mem = (np.where(np.isnan(rows[k]), 0.0, rows[k]) for k in ("sm", "mem"))
+    for kind, index, s_ts, s_w in series:
+        if kind == GPU:
+            values, covered = lerp_covered(s_ts, s_w, mids)
+            on = (tick < n) & (rows["gpu"] == (procs.gpus.index(index) if index in procs.gpus else -2))
+            key = tick[on] * n_jobs + col[on]
+            present = per_job(key) > 0
+            shares, has, unattr = _split(per_job(key, sm[on]), present, values, per_job(key, mem[on]))
+            has &= covered[:, None]
+            gpu_w += np.where(has, shares, 0.0)
+            has_gpu |= has
+            unattr_gpu += np.where(covered, unattr, 0.0)
 
-        gpu_maps: list[dict[int, float]] = []
-        unattr_gpu = 0.0
-        for g in sorted(gpu_power):
-            values, covered = gpu_power[g]
-            if not covered[i]:
-                continue
-            procs_on_g = [
-                (owner_at(pid, t0), snap.gpu_sm_pct, snap.gpu_mem_mib)
-                for pid, snap in sorted(at0.items())
-                if snap.gpu_index == g
-            ]
-            gmap, gun = gpu_shares(procs_on_g, float(values[i]))
-            gpu_maps.append(gmap)
-            unattr_gpu += gun
-
-        per_job: dict[int, JobPower] = {}
-        job_ids = set(cpu_map)
-        for gmap in gpu_maps:
-            job_ids.update(gmap)
-        for job_id in sorted(job_ids):
-            per_job[job_id] = JobPower(
-                cpu_w=cpu_map.get(job_id, 0.0),
-                gpu_w=float(sum(gmap.get(job_id, 0.0) for gmap in gpu_maps)),
-            )
-        slices.append(
-            AttributionSlice(Interval(t0, t1), node, per_job, unattr_cpu, unattr_gpu)
+    listed = (has_cpu | has_gpu).tolist()
+    cpu_w, gpu_w = np.where(has_cpu, cpu_w, 0.0).tolist(), gpu_w.tolist()
+    t, u_cpu, u_gpu = ticks.tolist(), unattr_cpu.tolist(), unattr_gpu.tolist()
+    return [
+        AttributionSlice(
+            Interval(t[i], t[i + 1]), node,
+            {jobs[c]: JobPower(cpu_w[i][c], gpu_w[i][c]) for c in range(1, n_jobs) if listed[i][c]},
+            u_cpu[i], u_gpu[i],
         )
-    return slices
+        for i in range(n)
+    ]
+
+
+def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerIndex) -> list[AttributionSlice]:
+    """attribute() on trace columns and an ownership index; a repeated (node, ts, pid) counts as its last."""
+    import numpy as np
+
+    if not len(procs):
+        return []
+    series: dict[str, list] = {}  # node -> (kind, index, ts, w) per cpu or gpu series, by kind and index
+    for (node, _), source, ts, w in sorted(
+        (s for s in zip(power.keys, power.sources, power.ts, power.w) if s[1].kind in (CPU, GPU)),
+        key=lambda s: (s[1].kind, s[1].index),
+    ):
+        series.setdefault(node, []).append((source.kind, source.index, np.frombuffer(ts), np.frombuffer(w)))
+
+    def rank(values: list) -> np.ndarray:  # each value's place in sorted order
+        return np.argsort(np.argsort(np.array(values, dtype=object), kind="stable"), kind="stable")
+
+    proc = np.frombuffer(procs.proc, dtype=np.int32)
+    ts = np.frombuffer(procs.ts)
+    node = rank(procs.nodes)[np.asarray(procs.node_of)[proc]]
+    order = np.lexsort((rank(procs.pids)[proc], ts, node))
+    repeated = (proc[order][1:] == proc[order][:-1]) & (ts[order][1:] == ts[order][:-1])
+    order = order[np.append(~repeated, True)]  # lexsort is stable: keep the last copy
+    columns = {"proc": proc, "ts": ts, "gpu": np.frombuffer(procs.gpu, dtype=np.int32)}
+    columns.update((k, np.frombuffer(getattr(procs, k))) for k in ("cpu", "sm", "mem"))
+    out: list[AttributionSlice] = []
+    for chunk in np.split(order, np.flatnonzero(np.diff(node[order])) + 1):
+        name = procs.nodes[procs.node_of[proc[chunk[0]]]]
+        rows = {k: v[chunk] for k, v in columns.items()}
+        out.extend(_node_slices(name, rows, series.get(name, []), owners.get(name), procs))
+    return out
 
 
 def attribute(
@@ -283,29 +306,13 @@ def attribute(
     at the interval midpoint (series not covering the midpoint contribute
     nothing).  GPU activity is taken from the snapshot at interval start.
 
-    Nodes may be processed concurrently (threads > 1); results are merged
-    in node order, so output is identical for any thread count.
+    threads is validated and otherwise ignored: each node is split with
+    whole-array operations, which a thread pool cannot speed up.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    series = _series_by_key(bundle)
-    by_node: dict[str, dict[float, dict[int, ProcSnapshot]]] = {}
-    for snap in bundle.procs:
-        by_node.setdefault(snap.node_id, {}).setdefault(snap.ts, {})[snap.pid] = snap
-    own_index = ownership_index(timelines)
-
-    nodes = sorted(by_node)
-    if threads == 1 or len(nodes) < 2:
-        per_node = [_node_slices(n, by_node[n], series, own_index) for n in nodes]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_node = list(pool.map(lambda n: _node_slices(n, by_node[n], series, own_index), nodes))
-    out: list[AttributionSlice] = []
-    for chunk in per_node:
-        out.extend(chunk)
-    return out
+    power, procs = PowerColumns.of(bundle.power), ProcColumns.of(bundle.procs)
+    return attribute_columns(power, procs, ownership_index(timelines))
 
 
 def integrate_energy(

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .attribution import AttributionSlice, JobPower
 from .errors import DegenerateInput, MalformedLine, NodeMismatch
-from .traces import CPU, GPU, EXT, PowerSample, _dumps, _field_num, _field_str, iter_records
+from .traces import CPU, GPU, EXT, PowerColumns, PowerSample, _dumps, _field_num, _field_str, iter_records
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,11 @@ def serialize_models(models: Iterable[CalibrationModel]) -> str:
 
 
 def fit_nodes(
-    software: Sequence[PowerSample],
-    external: Sequence[PowerSample],
+    software: Sequence[PowerSample] | PowerColumns,
+    external: Sequence[PowerSample] | PowerColumns,
     affine: bool = False,
 ) -> list[CalibrationModel]:
-    """Fit one model per node from raw power traces.
+    """Fit one model per node from raw power traces (samples, or read_power_trace columns).
 
     Software power is the sum over the node's cpu and gpu series, linearly
     resampled onto the external meter's own timestamps (external meters
@@ -161,38 +161,30 @@ def fit_nodes(
     """
     import numpy as np
 
-    soft_series: dict[str, list[list[PowerSample]]] = {}
-    grouped: dict[tuple[str, object], list[PowerSample]] = {}
-    for s in software:
-        if s.source.kind in (CPU, GPU):
-            grouped.setdefault((s.node_id, s.source), []).append(s)
-    for (node, _), series in sorted(grouped.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        soft_series.setdefault(node, []).append(sorted(series, key=lambda s: s.ts))
-
-    ext_series: dict[str, list[PowerSample]] = {}
-    for s in external:
-        if s.source.kind == EXT:
-            ext_series.setdefault(s.node_id, []).append(s)
+    software, external = (p if isinstance(p, PowerColumns) else PowerColumns.of(p) for p in (software, external))
+    soft: dict[str, list] = {}  # node -> (ts, w) per software series, in tag order
+    for key, source, ts, w in sorted(zip(software.keys, software.sources, software.ts, software.w)):
+        if source.kind in (CPU, GPU):
+            soft.setdefault(key[0], []).append((np.frombuffer(ts), np.frombuffer(w)))
+    ext = {node: (ts, w) for (node, tag), ts, w in zip(external.keys, external.ts, external.w) if tag == EXT}
 
     models: list[CalibrationModel] = []
-    for node in sorted(ext_series):
-        sources = soft_series.get(node)
+    for node in sorted(ext):
+        sources = soft.get(node)
         if not sources:
             continue
-        ext = sorted(ext_series[node], key=lambda s: s.ts)
-        lo = max(series[0].ts for series in sources)
-        hi = min(series[-1].ts for series in sources)
-        grid = [s.ts for s in ext if lo <= s.ts <= hi]
+        ext_ts, ext_w = np.frombuffer(ext[node][0]), np.frombuffer(ext[node][1])
+        lo = max(ts[0] for ts, _ in sources)
+        hi = min(ts[-1] for ts, _ in sources)
+        keep = (ext_ts >= lo) & (ext_ts <= hi)
+        grid = ext_ts[keep]
         if len(grid) < 2:
             continue
         total = np.zeros(len(grid))
-        for series in sources:
-            ts = np.array([p.ts for p in series])
-            watts = np.array([p.power_w for p in series])
-            total += np.interp(np.asarray(grid), ts, watts)
-        by_ts = {s.ts: s.power_w for s in ext}
+        for ts, watts in sources:
+            total += np.interp(grid, ts, watts)
         try:
-            models.append(fit_scale(total, [by_ts[t] for t in grid], node, affine))
+            models.append(fit_scale(total, ext_w[keep], node, affine))
         except DegenerateInput:
             continue
     if not models:

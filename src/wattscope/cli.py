@@ -6,7 +6,8 @@ gpu-hist).  Every flag falls back to a WATTSCOPE_* environment variable
 validation failure, 2 usage error.  Results go to stdout and are written
 only after the whole command has succeeded, so stdout is empty on
 failure; diagnostics (with line numbers) go to stderr.  Identical argv
-and input files produce byte-identical stdout regardless of --threads.
+and input files produce byte-identical stdout.  --threads is accepted and
+validated but has no effect.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ import argparse
 import json
 import os
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence, TextIO
 
 from . import analytics
 from .analytics import MEM_PCT, SM_PCT, aggregate_by_status, aggregate_by_user, gpu_histogram, render_report
-from .attribution import attribute, integrate_energy, parse_slices, serialize_slices
+from .attribution import attribute_columns, integrate_energy, parse_slices, serialize_slices
 from .calibration import CalibrationModel, apply_calibration, fit_nodes, parse_models, serialize_models
 from .errors import TraceError, WattscopeError
-from .jobs import UNATTRIBUTED_JOB, JobRecord, build_timelines, ownership_index, parse_jobs, parse_pidmap
-from .traces import EXT, TraceBundle, parse_power_trace, parse_proc_trace
+from .jobs import UNATTRIBUTED_JOB, JobRecord, check_owners, owner_at, parse_jobs, read_pidmap
+from .traces import EXT, read_power_trace, read_proc_trace
 
 ENV_PREFIX = "WATTSCOPE_"
 
@@ -208,13 +209,13 @@ def _load_slices(cfg: RunConfig, jobs: Sequence[JobRecord] | None = None):
     if cfg.slices is not None:
         return _parse_file(cfg.slices, parse_slices)
     _require(cfg, ("power", "proc", "pidmap", "jobs"), "computing slices")
-    power = _parse_file(cfg.power, parse_power_trace)
-    procs = _parse_file(cfg.proc, parse_proc_trace)
-    pidmap = _parse_file(cfg.pidmap, parse_pidmap)
+    power = _parse_file(cfg.power, read_power_trace)
+    procs = _parse_file(cfg.proc, read_proc_trace)
+    owners = _parse_file(cfg.pidmap, read_pidmap)
     if jobs is None:
         jobs = _parse_file(cfg.jobs, parse_jobs)
-    timelines = build_timelines(pidmap, jobs)
-    return attribute(TraceBundle.build(power, procs), timelines, threads=cfg.threads)
+    check_owners(owners, jobs)
+    return attribute_columns(power, procs, owners)
 
 
 def _apply_models(slices, models: Sequence[CalibrationModel], err: TextIO):
@@ -238,24 +239,22 @@ def _apply_models(slices, models: Sequence[CalibrationModel], err: TextIO):
 
 
 def _cmd_validate(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
-    parsers = (
-        ("power", parse_power_trace, "samples"),
-        ("proc", parse_proc_trace, "snapshots"),
-        ("pidmap", parse_pidmap, "snapshots"),
-        ("jobs", parse_jobs, "records"),
-        ("external", parse_power_trace, "samples"),
-        ("slices", parse_slices, "slices"),
+    readers = (
+        ("power", read_power_trace),
+        ("proc", read_proc_trace),
+        ("pidmap", read_pidmap),
+        ("jobs", parse_jobs),
+        ("external", partial(read_power_trace, expected_kind=EXT)),
+        ("slices", parse_slices),
     )
     parts = []
-    for name, parser_fn, _ in parsers:
+    for name, reader in readers:
         path = getattr(cfg, name)
         if path is None:
             continue
-        if name == "external":
-            parsed = _parse_file(path, parse_power_trace, EXT)
-        else:
-            parsed = _parse_file(path, parser_fn)
-        parts.append(f"{name}={len(parsed)}")
+        parsed = _parse_file(path, reader)
+        size = sum(len(ts) for ts, _ in parsed.values()) if name == "pidmap" else len(parsed)  # merged snapshots
+        parts.append(f"{name}={size}")
     if not parts:
         raise _UsageError("validate needs at least one input file")
     out.write("ok: " + " ".join(parts) + "\n")
@@ -271,8 +270,8 @@ def _cmd_attribute(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
 
 def _cmd_calibrate(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
     _require(cfg, ("power", "external"), "calibrate")
-    software = _parse_file(cfg.power, parse_power_trace)
-    external = _parse_file(cfg.external, parse_power_trace, EXT)
+    software = _parse_file(cfg.power, read_power_trace)
+    external = _parse_file(cfg.external, read_power_trace, EXT)
     models = fit_nodes(software, external, affine=cfg.affine)
     if cfg.model is not None:
         with open(cfg.model, "w", encoding="utf-8") as fh:
@@ -300,24 +299,15 @@ def _cmd_calibrate(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
 
 def _job_of_from(cfg: RunConfig) -> Callable[[str, int, float], int | None]:
     _require(cfg, ("pidmap", "jobs"), "--per-job-mean")
-    pidmap = _parse_file(cfg.pidmap, parse_pidmap)
-    jobs = _parse_file(cfg.jobs, parse_jobs)
-    index = ownership_index(build_timelines(pidmap, jobs))
-
-    def job_of(node_id: str, pid: int, ts: float) -> int | None:
-        entry = index.get(node_id)
-        if entry is None:
-            return None
-        i = bisect_right(entry[0], ts) - 1
-        return entry[1][i].get(pid) if i >= 0 else None
-
-    return job_of
+    owners = _parse_file(cfg.pidmap, read_pidmap)
+    check_owners(owners, _parse_file(cfg.jobs, parse_jobs))
+    return partial(owner_at, owners)
 
 
 def _cmd_report(cfg: RunConfig, what: str, out: TextIO, err: TextIO) -> int:
     if what == "gpu-hist":
         _require(cfg, ("proc",), "report gpu-hist")
-        procs = _parse_file(cfg.proc, parse_proc_trace)
+        procs = _parse_file(cfg.proc, read_proc_trace)
         capacities = _load_capacities(cfg.capacities) if cfg.capacities else None
         job_of = _job_of_from(cfg) if cfg.per_job_mean else None
         hist = gpu_histogram(procs, cfg.metric, cfg.bins, capacities, job_of)

@@ -10,6 +10,8 @@ Pid assignments use step-hold semantics: a snapshot's map is valid from
 its ts until the next snapshot on the same node.  Work that no snapshot
 ties to a job belongs to the reserved UNATTRIBUTED pseudo-job (id 0);
 real job ids are positive.
+Ownership is one per-node step index (OwnerIndex) that read_pidmap builds
+and check_owners checks; PidMapSnapshot and PidTimeline derive from it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import DuplicatePid, MalformedLine, MultiNodeJob, UnknownJob
 from .traces import _dumps, _field_int, _field_num, _field_str, canonical_ts, iter_records
 
 UNATTRIBUTED_JOB = 0
+OwnerIndex = dict  # node -> (sorted snapshot ts list, {pid: job_id} per snapshot)
 
 # canonical display order for the well-known scheduler states
 KNOWN_STATUSES = ("COMPLETED", "FAILED", "CANCELLED", "TIMEOUT")
@@ -62,13 +65,22 @@ class PidTimeline:
     entries: tuple[tuple[float, frozenset[int]], ...]
 
 
-def parse_pidmap(lines: Iterable[str]) -> list[PidMapSnapshot]:
-    """Parse pidmap snapshots, merging records that share (node, ts).
+def _step_index(merged: dict) -> OwnerIndex:
+    index: OwnerIndex = {}
+    for node, ts in sorted(merged):
+        ts_list, owners = index.setdefault(node, ([], []))
+        ts_list.append(ts)
+        owners.append(merged[(node, ts)])
+    return index
 
-    Raises:
-        MalformedLine, DuplicatePid.
+
+def read_pidmap(lines: Iterable[str]) -> OwnerIndex:
+    """Read pidmap lines into the step index, merging records that share (node, ts).
+
+    Raises MalformedLine and DuplicatePid.
     """
     merged: dict[tuple[str, float], dict[int, int]] = {}
+    known: dict[int, int] = {}  # one int object per distinct pid across snapshots
     for line_no, obj in iter_records(lines):
         node = _field_str(obj, "node", line_no)
         ts = canonical_ts(_field_num(obj, "ts", line_no))
@@ -88,12 +100,42 @@ def parse_pidmap(lines: Iterable[str]) -> list[PidMapSnapshot]:
                 raise MalformedLine(line_no, f"invalid pid {pid}")
             if job_id < 1:
                 raise MalformedLine(line_no, f"invalid job id {job_id} (0 is reserved)")
-            if pid in assignments and assignments[pid] != job_id:
+            if assignments.setdefault(known.setdefault(pid, pid), job_id) != job_id:
                 raise DuplicatePid(pid, ts, line_no)
-            assignments[pid] = job_id
+    return _step_index(merged)
+
+
+def check_owners(index: OwnerIndex, jobs: Sequence[JobRecord]) -> dict[int, JobRecord]:
+    """Check every owner against the job records; returns them by id.
+
+    Raises UnknownJob for an id with no record, and MultiNodeJob for a job
+    seen on another node than its record's (multi-node jobs are unsupported).
+    """
+    jobs_by_id = {j.job_id: j for j in jobs}
+    for node in sorted(index):
+        for owners in index[node][1]:
+            for pid in sorted(owners):
+                job = jobs_by_id.get(owners[pid])
+                if job is None:
+                    raise UnknownJob(owners[pid])
+                if job.node_id != node:
+                    raise MultiNodeJob(job.job_id, f"record says {job.node_id}, seen on {node}")
+    return jobs_by_id
+
+
+def owner_at(index: OwnerIndex, node_id: str, pid: int, t: float) -> int | None:
+    """The job owning pid on node_id at time t under step-hold, or None."""
+    ts_list, owners = index.get(node_id, ((), ()))
+    i = bisect_right(ts_list, t) - 1
+    return owners[i].get(pid) if i >= 0 else None
+
+
+def parse_pidmap(lines: Iterable[str]) -> list[PidMapSnapshot]:
+    """Parse pidmap snapshots (see read_pidmap), sorted by (node, ts)."""
     return [
-        PidMapSnapshot(node, ts, tuple(sorted(assignments.items())))
-        for (node, ts), assignments in sorted(merged.items())
+        PidMapSnapshot(node, ts, tuple(sorted(owners.items())))
+        for node, (ts_list, owner_list) in sorted(read_pidmap(lines).items())
+        for ts, owners in zip(ts_list, owner_list)
     ]
 
 
@@ -155,65 +197,43 @@ def build_timelines(
     snapshot at or before t.  Jobs never observed get no entries.
 
     Raises:
-        UnknownJob: a snapshot references a job id with no record.
-        MultiNodeJob: a snapshot places a job on a different node than
-            its record; multi-node jobs are unsupported.
         DuplicatePid: conflicting assignments merged at the same (node, ts).
+        UnknownJob, MultiNodeJob: as check_owners.
     """
-    jobs_by_id = {j.job_id: j for j in jobs}
-
-    # merge snapshots per (node, ts); duplicates may come from callers
-    # that build snapshots directly rather than via parse_pidmap
     merged: dict[tuple[str, float], dict[int, int]] = {}
     for snap in snapshots:
         assignments = merged.setdefault((snap.node_id, snap.ts), {})
         for pid, job_id in snap.assignments:
-            if pid in assignments and assignments[pid] != job_id:
+            if assignments.setdefault(pid, job_id) != job_id:
                 raise DuplicatePid(pid, snap.ts)
-            assignments[pid] = job_id
-            if job_id not in jobs_by_id:
-                raise UnknownJob(job_id)
-            if jobs_by_id[job_id].node_id != snap.node_id:
-                raise MultiNodeJob(job_id, f"record says {jobs_by_id[job_id].node_id}, seen on {snap.node_id}")
-
-    node_ts: dict[str, list[float]] = {}
-    for node, ts in sorted(merged):
-        node_ts.setdefault(node, []).append(ts)
+    index = _step_index(merged)
+    jobs_by_id = check_owners(index, jobs)
 
     observed: dict[int, dict[float, set[int]]] = {}
-    for (node, ts), assignments in merged.items():
+    for (_, ts), assignments in merged.items():
         for pid, job_id in assignments.items():
             observed.setdefault(job_id, {}).setdefault(ts, set()).add(pid)
 
     timelines: dict[int, PidTimeline] = {}
     for job_id, job in jobs_by_id.items():
         pids_at = observed.get(job_id)
-        if pids_at is None:
-            timelines[job_id] = PidTimeline(job_id, job.node_id, ())
-            continue
-        entries = tuple(
-            (ts, frozenset(pids_at.get(ts, ()))) for ts in node_ts[job.node_id]
+        entries = () if pids_at is None else tuple(
+            (ts, frozenset(pids_at.get(ts, ()))) for ts in index[job.node_id][0]
         )
         timelines[job_id] = PidTimeline(job_id, job.node_id, entries)
     return timelines
 
 
-def ownership_index(
-    timelines: Mapping[int, PidTimeline]
-) -> dict[str, tuple[list[float], list[dict[int, int]]]]:
-    """Fold timelines into a per-node step function: ts -> {pid: job_id}."""
-    per_node: dict[str, dict[float, dict[int, int]]] = {}
+def ownership_index(timelines: Mapping[int, PidTimeline]) -> OwnerIndex:
+    """Fold timelines back into the per-node step index."""
+    merged: dict[tuple[str, float], dict[int, int]] = {}
     for job_id in sorted(timelines):
         tl = timelines[job_id]
         for ts, pids in tl.entries:
-            owners = per_node.setdefault(tl.node_id, {}).setdefault(ts, {})
+            owners = merged.setdefault((tl.node_id, ts), {})
             for pid in pids:
                 owners[pid] = job_id
-    index: dict[str, tuple[list[float], list[dict[int, int]]]] = {}
-    for node, by_ts in per_node.items():
-        ts_list = sorted(by_ts)
-        index[node] = (ts_list, [by_ts[ts] for ts in ts_list])
-    return index
+    return _step_index(merged)
 
 
 def pid_owner(
@@ -225,11 +245,4 @@ def pid_owner(
     at or before t on that node.  None (no owner) is a meaningful value;
     such work is charged to the UNATTRIBUTED pseudo-job.
     """
-    entry = ownership_index(timelines).get(node_id)
-    if entry is None:
-        return None
-    ts_list, owners = entry
-    i = bisect_right(ts_list, t) - 1
-    if i < 0:
-        return None
-    return owners[i].get(pid)
+    return owner_at(ownership_index(timelines), node_id, pid, t)

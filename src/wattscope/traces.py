@@ -11,14 +11,19 @@ LF terminated, unknown keys ignored:
 wattmeter).  Timestamps are decimal seconds and are canonicalized to
 millisecond precision on parse.  The ``gpu``/``sm_pct``/``mem_mib`` keys
 are optional; an absent reading means "not observed", never zero.
+
+read_power_trace and read_proc_trace check each record into stdlib
+``array`` columns, building no object per record; parse_power_trace and
+parse_proc_trace build the record objects from those columns.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptySeries,
@@ -28,6 +33,9 @@ from .errors import (
     OutOfRangeUtilization,
     CpuTimeRegression,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # canonical timestamp precision: milliseconds
 TS_DECIMALS = 3
@@ -62,13 +70,17 @@ class Source:
 
 
 def parse_source(text: str) -> Source:
-    """Parse a wire-format source tag such as "cpu0", "gpu3" or "ext"."""
+    """Parse a wire-format source tag such as "cpu0", "gpu3" or "ext".
+
+    The index is ASCII decimal without leading zeros, so an accepted tag is
+    its own canonical form: no two spellings name one series.
+    """
     if text == EXT:
         return Source(EXT)
     for kind in (CPU, GPU):
         if text.startswith(kind):
             digits = text[len(kind):]
-            if digits.isdigit():
+            if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
                 return Source(kind, int(digits))
     raise ValueError(f"invalid source tag {text!r}")
 
@@ -104,6 +116,98 @@ class TraceBundle:
     @classmethod
     def build(cls, power: Sequence[PowerSample], procs: Sequence[ProcSnapshot]) -> "TraceBundle":
         return cls(tuple(power), tuple(procs))
+
+
+class PowerColumns:
+    """Power samples as columns: series k is keys[k] = (node, canonical tag),
+    from sources[k], with samples ts[k] and w[k]; rows holds each record's
+    series number, in file order."""
+
+    __slots__ = ("keys", "sources", "ts", "w", "rows")
+
+    def __init__(self):
+        self.keys, self.sources, self.ts, self.w = [], [], [], []
+        self.rows = array("i")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _new_series(self, number: dict, node: str, tag: str, source: Source) -> int:
+        number[(node, tag)] = len(self.keys)
+        self.keys.append((node, tag))
+        self.sources.append(source)
+        self.ts.append(array("d"))
+        self.w.append(array("d"))
+        return len(self.keys) - 1
+
+    @classmethod
+    def of(cls, samples: Iterable[PowerSample]) -> "PowerColumns":
+        """Columns of already-built samples, each series sorted by (ts, w)."""
+        cols, number = cls(), {}
+        for s in sorted(samples, key=lambda s: (s.ts, s.power_w)):
+            key = (s.node_id, str(s.source))
+            k = number[key] if key in number else cols._new_series(number, *key, s.source)
+            cols.ts[k].append(s.ts)
+            cols.w[k].append(s.power_w)
+            cols.rows.append(k)
+        return cols
+
+    def samples(self) -> list[PowerSample]:
+        at = [iter(zip(ts, w)) for ts, w in zip(self.ts, self.w)]
+        return [PowerSample(self.keys[k][0], self.sources[k], *next(at[k])) for k in self.rows]
+
+
+class ProcColumns:
+    """Process snapshots as columns, one entry per record, in file order.
+
+    Record i is process proc[i], a (node, pid) pair numbered on first sight,
+    on node nodes[node_of[proc[i]]] with pid pids[proc[i]]; gpu[i] indexes
+    gpus or is -1, and sm and mem are NaN where absent."""
+
+    __slots__ = ("nodes", "node_of", "pids", "gpus", "proc", "ts", "cpu", "gpu", "sm", "mem")
+
+    def __init__(self):
+        self.nodes, self.node_of, self.pids, self.gpus = [], [], [], []
+        self.proc, self.gpu = array("i"), array("i")
+        self.ts, self.cpu, self.sm, self.mem = array("d"), array("d"), array("d"), array("d")
+
+    def __len__(self) -> int:
+        return len(self.proc)
+
+    def _new_proc(self, node: str, pid: int) -> int:
+        if node not in self.nodes:
+            self.nodes.append(node)
+        self.node_of.append(self.nodes.index(node))
+        self.pids.append(pid)
+        return len(self.pids) - 1
+
+    def _append(self, p: int, ts: float, cpu: float, gpu: int | None, sm: float | None, mem: float | None):
+        self.proc.append(p)
+        self.ts.append(ts)
+        self.cpu.append(cpu)
+        if gpu is not None and gpu not in self.gpus:
+            self.gpus.append(gpu)
+        self.gpu.append(-1 if gpu is None else self.gpus.index(gpu))
+        self.sm.append(math.nan if sm is None else sm)
+        self.mem.append(math.nan if mem is None else mem)
+
+    @classmethod
+    def of(cls, snaps: Iterable[ProcSnapshot]) -> "ProcColumns":
+        """Columns of already-built snapshots, unchecked, in their order."""
+        cols, number = cls(), {}
+        for s in snaps:
+            key = (s.node_id, s.pid)
+            p = number[key] if key in number else number.setdefault(key, cols._new_proc(*key))
+            cols._append(p, s.ts, s.cpu_time_s, s.gpu_index, s.gpu_sm_pct, s.gpu_mem_mib)
+        return cols
+
+    def snapshots(self) -> list[ProcSnapshot]:
+        node = [self.nodes[n] for n in self.node_of]
+        return [
+            ProcSnapshot(node[p], ts, self.pids[p], cpu, None if g < 0 else self.gpus[g],
+                         None if sm != sm else sm, None if mem != mem else mem)
+            for p, ts, cpu, g, sm, mem in zip(self.proc, self.ts, self.cpu, self.gpu, self.sm, self.mem)
+        ]
 
 
 def _reject_constant(token: str) -> float:
@@ -187,29 +291,28 @@ _NUM_MAX = 1e308
 
 
 def _power_record(obj: dict, line_no: int, expected_kind: str | None, sources: dict) -> tuple:
-    """Check one power record field by field; returns (node, (source, tag), ts, w)."""
+    """Check one power record field by field; returns (node, src tag, ts, w)."""
     node = _field_str(obj, "node", line_no)
-    src_text = obj.get("src")
-    if not isinstance(src_text, str):
+    src = obj.get("src")
+    if not isinstance(src, str):
         raise MalformedLine(line_no, "missing or invalid 'src'")
-    source = sources.get(src_text)
-    if source is None:
+    if src not in sources:
         try:
-            parsed = parse_source(src_text)
+            parsed = parse_source(src)
         except ValueError as exc:
             raise MalformedLine(line_no, str(exc)) from None
         if expected_kind is not None and parsed.kind != expected_kind:
-            raise MalformedLine(line_no, f"expected a {expected_kind!r} source, got {src_text!r}")
-        source = sources[src_text] = (parsed, str(parsed))
+            raise MalformedLine(line_no, f"expected a {expected_kind!r} source, got {src!r}")
+        sources[src] = parsed
     ts = canonical_ts(_field_num(obj, "ts", line_no))
     w = _field_num(obj, "w", line_no)
     if w < 0:
         raise NegativePower(line_no)
-    return node, source, ts, w
+    return node, src, ts, w
 
 
-def parse_power_trace(lines: Iterable[str], expected_kind: str | None = None) -> list[PowerSample]:
-    """Parse a power trace, enforcing per-series timestamp monotonicity.
+def read_power_trace(lines: Iterable[str], expected_kind: str | None = None) -> PowerColumns:
+    """Read a power trace into columns, enforcing per-series timestamp monotonicity.
 
     Args:
         lines: line-oriented text (file object, list of strings, ...).
@@ -217,42 +320,38 @@ def parse_power_trace(lines: Iterable[str], expected_kind: str | None = None) ->
             must carry a source of that kind; used e.g. to validate that
             an external-meter file contains only "ext" lines.
 
-    Returns:
-        Samples in file order.
-
     Raises:
         MalformedLine, NonMonotonicTimestamp, NegativePower.
     """
-    samples: list[PowerSample] = []
-    # src tag -> (Source, canonical tag), filled by _power_record with accepted tags only
-    sources: dict[str, tuple[Source, str]] = {}
-    last_ts: dict[tuple[str, str], float] = {}
+    cols = PowerColumns()
+    sources: dict[str, Source] = {}  # filled by _power_record with accepted tags only
+    number: dict[tuple[str, str], int] = {}  # (node, tag) -> series number
+    ts_cols, w_cols, add_row = cols.ts, cols.w, cols.rows.append
     for line_no, obj in iter_records(lines):
-        node = obj.get("node")
-        src = obj.get("src")
-        ts = obj.get("ts")
-        w = obj.get("w")
-        source = sources.get(src) if type(src) is str else None  # (Source, canonical tag)
+        node, src, ts, w = obj.get("node"), obj.get("src"), obj.get("ts"), obj.get("w")
         if (
-            source is not None
-            and type(node) is str
-            and node
-            and type(ts) in _NUM
-            and -_NUM_MAX < ts < _NUM_MAX
-            and type(w) in _NUM
-            and 0 <= w < _NUM_MAX
+            type(src) is str and src in sources and type(node) is str and node
+            and type(ts) in _NUM and -_NUM_MAX < ts < _NUM_MAX and type(w) in _NUM and 0 <= w < _NUM_MAX
         ):
             ts = round(float(ts), TS_DECIMALS)
             w = float(w)
         else:
-            node, source, ts, w = _power_record(obj, line_no, expected_kind, sources)
-        key = (node, source[1])
-        prev = last_ts.get(key)
-        if prev is not None and ts <= prev:
+            node, src, ts, w = _power_record(obj, line_no, expected_kind, sources)
+        k = number.get((node, src))
+        if k is None:
+            k = cols._new_series(number, node, src, sources[src])
+        ts_col = ts_cols[k]
+        if ts_col and ts <= ts_col[-1]:
             raise NonMonotonicTimestamp(line_no)
-        last_ts[key] = ts
-        samples.append(PowerSample(node, source[0], ts, w))
-    return samples
+        ts_col.append(ts)
+        w_cols[k].append(w)
+        add_row(k)
+    return cols
+
+
+def parse_power_trace(lines: Iterable[str], expected_kind: str | None = None) -> list[PowerSample]:
+    """Parse a power trace (see read_power_trace); returns samples in file order."""
+    return read_power_trace(lines, expected_kind).samples()
 
 
 def _proc_record(obj: dict, line_no: int) -> tuple:
@@ -275,66 +374,60 @@ def _proc_record(obj: dict, line_no: int) -> tuple:
     return node, ts, pid, cpu_s, gpu_index, sm_pct, mem_mib
 
 
-def parse_proc_trace(lines: Iterable[str]) -> list[ProcSnapshot]:
-    """Parse a process trace.
+def read_proc_trace(lines: Iterable[str]) -> ProcColumns:
+    """Read a process trace into columns.
 
     Cumulative cpu_s must be non-decreasing per (node, pid) in file order;
     sm_pct must lie in [0, 100] and mem_mib must be non-negative.  GPU keys
     are optional, but sm_pct/mem_mib without a gpu index are rejected.  A
     second record for the same (node, ts, pid) is rejected as MalformedLine.
     """
-    snaps: list[ProcSnapshot] = []
-    last_cpu: dict[tuple[str, int], float] = {}
-    pids_at: dict[tuple[str, float], set[int]] = {}  # (node, ts) -> pids seen there
-    at_node = at_ts = seen = None  # the (node, ts) group of the previous record
+    cols = ProcColumns()
+    state_of: dict[str, dict[int, list]] = {}  # node -> pid -> [process, last cpu_s, latest ts]
+    # every record's (process, ts), kept once some process's ts fails to increase, as only then can one repeat
+    seen: set[tuple[int, float]] | None = None
+    at_node = states = raw_ts = None
+    num, big = _NUM, _NUM_MAX
     for line_no, obj in iter_records(lines):
-        node = obj.get("node")
-        ts = obj.get("ts")
-        pid = obj.get("pid")
-        cpu_s = obj.get("cpu_s")
-        gpu = obj.get("gpu")
-        sm = obj.get("sm_pct")
-        mem = obj.get("mem_mib")
+        node, ts, pid, cpu_s = obj.get("node"), obj.get("ts"), obj.get("pid"), obj.get("cpu_s")
+        gpu, sm, mem = obj.get("gpu"), obj.get("sm_pct"), obj.get("mem_mib")
         if (
-            type(node) is str
-            and node
-            and type(ts) in _NUM
-            and -_NUM_MAX < ts < _NUM_MAX
-            and type(pid) is int
-            and pid >= 1
-            and type(cpu_s) in _NUM
-            and 0 <= cpu_s < _NUM_MAX
-            and (
-                (gpu is None and sm is None and mem is None)
-                or (
-                    type(gpu) is int
-                    and gpu >= 0
-                    and (sm is None or (type(sm) in _NUM and 0 <= sm <= 100))
-                    and (mem is None or (type(mem) in _NUM and 0 <= mem < _NUM_MAX))
-                )
-            )
+            type(node) is str and node and type(ts) in num and -big < ts < big and type(pid) is int and pid >= 1
+            and type(cpu_s) in num and 0 <= cpu_s < big
+            and (gpu is None and sm is None and mem is None
+                 or type(gpu) is int and gpu >= 0 and (sm is None or type(sm) in num and 0 <= sm <= 100)
+                 and (mem is None or type(mem) in num and 0 <= mem < big))
         ):
-            ts = round(float(ts), TS_DECIMALS)
-            cpu_s = float(cpu_s)
-            if sm is not None:
-                sm = float(sm)
-            if mem is not None:
-                mem = float(mem)
+            if ts != raw_ts or not ts:  # records at one instant share its rounding; zero keeps its sign
+                raw_ts, canon_ts = ts, round(float(ts), TS_DECIMALS)
+            ts = canon_ts
         else:
             node, ts, pid, cpu_s, gpu, sm, mem = _proc_record(obj, line_no)
-        if ts != at_ts or node != at_node:
-            at_node, at_ts = node, ts
-            seen = pids_at.setdefault((node, ts), set())
-        if pid in seen:
-            raise MalformedLine(line_no, f"duplicate record for pid {pid} at ts {ts} on node {node!r}")
-        seen.add(pid)
-        key = (node, pid)
-        prev = last_cpu.get(key)
-        if prev is not None and cpu_s < prev:
-            raise CpuTimeRegression(pid, line_no)
-        last_cpu[key] = cpu_s
-        snaps.append(ProcSnapshot(node, ts, pid, cpu_s, gpu, sm, mem))
-    return snaps
+        if node != at_node:
+            at_node, states = node, state_of.setdefault(node, {})
+        state = states.get(pid)
+        if state is None:
+            state = states[pid] = [cols._new_proc(node, pid), cpu_s, ts]
+        else:
+            if ts > state[2]:
+                state[2] = ts
+            else:
+                if seen is None:
+                    seen = set(zip(cols.proc, cols.ts))
+                if (state[0], ts) in seen:
+                    raise MalformedLine(line_no, f"duplicate record for pid {pid} at ts {ts} on node {node!r}")
+            if cpu_s < state[1]:
+                raise CpuTimeRegression(pid, line_no)
+            state[1] = cpu_s
+        if seen is not None:
+            seen.add((state[0], ts))
+        cols._append(state[0], ts, cpu_s, gpu, sm, mem)
+    return cols
+
+
+def parse_proc_trace(lines: Iterable[str]) -> list[ProcSnapshot]:
+    """Parse a process trace (see read_proc_trace); returns snapshots in file order."""
+    return read_proc_trace(lines).snapshots()
 
 
 def _dumps(obj: dict) -> str:
@@ -364,6 +457,13 @@ def serialize_proc_trace(snaps: Iterable[ProcSnapshot]) -> str:
     return "".join(format_proc_line(s) + "\n" for s in snaps)
 
 
+def lerp_covered(ts: np.ndarray, watts: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A ts-sorted series linearly interpolated at query, and which points its span covers."""
+    import numpy as np
+
+    return np.interp(query, ts, watts), (query >= ts[0]) & (query <= ts[-1])
+
+
 def resample_to_grid(series: Sequence[PowerSample], grid_ts: Sequence[float]) -> list[float | None]:
     """Linearly interpolate a single power series onto arbitrary timestamps.
 
@@ -383,7 +483,5 @@ def resample_to_grid(series: Sequence[PowerSample], grid_ts: Sequence[float]) ->
     if np.any(np.diff(ts) <= 0):
         raise ValueError("series must be sorted by strictly increasing ts")
     watts = np.array([s.power_w for s in series], dtype=float)
-    grid = np.asarray(list(grid_ts), dtype=float)
-    values = np.interp(grid, ts, watts)
-    covered = (grid >= ts[0]) & (grid <= ts[-1])
+    values, covered = lerp_covered(ts, watts, np.asarray(list(grid_ts), dtype=float))
     return [float(v) if ok else None for v, ok in zip(values, covered)]

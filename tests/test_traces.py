@@ -483,8 +483,10 @@ class TestOnePassParsersMatchFieldHelpers:
         got = _outcome(parse_power_trace, lines, kind)
         assert got == (("ok", [first[1], second[1]]) if first[0] == "ok" else first)
 
-    def test_equivalent_tags_share_one_series(self):
-        # "cpu00" is the cpu0 series, so its equal timestamp is a regression
-        with pytest.raises(NonMonotonicTimestamp) as exc:
-            parse_power_trace([power_line(src="cpu0", ts=1.0), power_line(src="cpu00", ts=1.0)])
-        assert exc.value.line_no == 2
+    def test_non_canonical_tags_are_rejected(self):
+        # each tag once joined the series of its canonical spelling
+        for tag in ("cpu\u0663", "gpu\uff11", "cpu03", "cpu00"):
+            with pytest.raises(MalformedLine) as exc:
+                parse_power_trace([power_line(src="cpu0", ts=1.0), power_line(src=tag, ts=2.0)])
+            assert str(exc.value) == f"line 2: invalid source tag {tag!r}"
+            assert exc.value.line_no == 2
