@@ -195,8 +195,6 @@ def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns
     tick = np.cumsum(first) - 1
     ticks = ts[first]
     n = len(ticks) - 1
-    if n < 1:
-        return []
     mids = (ticks[:-1] + ticks[1:]) / 2.0
 
     # owners under step-hold, as columns of the job axis [UNATTRIBUTED_JOB, node's jobs ascending]

@@ -174,8 +174,7 @@ def fit_nodes(
         if not sources:
             continue
         ext_ts, ext_w = np.frombuffer(ext[node][0]), np.frombuffer(ext[node][1])
-        lo = max(ts[0] for ts, _ in sources)
-        hi = min(ts[-1] for ts, _ in sources)
+        lo, hi = max(ts[0] for ts, _ in sources), min(ts[-1] for ts, _ in sources)
         keep = (ext_ts >= lo) & (ext_ts <= hi)
         grid = ext_ts[keep]
         if len(grid) < 2:

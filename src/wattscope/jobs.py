@@ -132,11 +132,9 @@ def owner_at(index: OwnerIndex, node_id: str, pid: int, t: float) -> int | None:
 
 def parse_pidmap(lines: Iterable[str]) -> list[PidMapSnapshot]:
     """Parse pidmap snapshots (see read_pidmap), sorted by (node, ts)."""
-    return [
-        PidMapSnapshot(node, ts, tuple(sorted(owners.items())))
-        for node, (ts_list, owner_list) in sorted(read_pidmap(lines).items())
-        for ts, owners in zip(ts_list, owner_list)
-    ]
+    index = read_pidmap(lines)
+    snaps = ((node, ts, owners) for node in sorted(index) for ts, owners in zip(*index[node]))
+    return [PidMapSnapshot(node, ts, tuple(sorted(owners.items()))) for node, ts, owners in snaps]
 
 
 def parse_jobs(lines: Iterable[str]) -> list[JobRecord]:
@@ -217,9 +215,8 @@ def build_timelines(
     timelines: dict[int, PidTimeline] = {}
     for job_id, job in jobs_by_id.items():
         pids_at = observed.get(job_id)
-        entries = () if pids_at is None else tuple(
-            (ts, frozenset(pids_at.get(ts, ()))) for ts in index[job.node_id][0]
-        )
+        node_ts = index[job.node_id][0] if pids_at else ()
+        entries = tuple((ts, frozenset(pids_at.get(ts, ()))) for ts in node_ts)
         timelines[job_id] = PidTimeline(job_id, job.node_id, entries)
     return timelines
 

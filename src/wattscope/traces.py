@@ -143,13 +143,15 @@ class PowerColumns:
     @classmethod
     def of(cls, samples: Iterable[PowerSample]) -> "PowerColumns":
         """Columns of already-built samples, each series sorted by (ts, w)."""
-        cols, number = cls(), {}
-        for s in sorted(samples, key=lambda s: (s.ts, s.power_w)):
-            key = (s.node_id, str(s.source))
-            k = number[key] if key in number else cols._new_series(number, *key, s.source)
-            cols.ts[k].append(s.ts)
-            cols.w[k].append(s.power_w)
-            cols.rows.append(k)
+        cols, number, grouped = cls(), {}, {}
+        for s in samples:
+            grouped.setdefault((s.node_id, str(s.source)), [s.source]).append((s.ts, s.power_w))
+        for (node, tag), (source, *points) in grouped.items():
+            k = cols._new_series(number, node, tag, source)
+            points.sort()
+            cols.ts[k].extend([p[0] for p in points])
+            cols.w[k].extend([p[1] for p in points])
+            cols.rows.extend([k] * len(points))
         return cols
 
     def samples(self) -> list[PowerSample]:
@@ -181,24 +183,20 @@ class ProcColumns:
         self.pids.append(pid)
         return len(self.pids) - 1
 
-    def _append(self, p: int, ts: float, cpu: float, gpu: int | None, sm: float | None, mem: float | None):
-        self.proc.append(p)
-        self.ts.append(ts)
-        self.cpu.append(cpu)
-        if gpu is not None and gpu not in self.gpus:
-            self.gpus.append(gpu)
-        self.gpu.append(-1 if gpu is None else self.gpus.index(gpu))
-        self.sm.append(math.nan if sm is None else sm)
-        self.mem.append(math.nan if mem is None else mem)
-
     @classmethod
     def of(cls, snaps: Iterable[ProcSnapshot]) -> "ProcColumns":
         """Columns of already-built snapshots, unchecked, in their order."""
-        cols, number = cls(), {}
-        for s in snaps:
-            key = (s.node_id, s.pid)
-            p = number[key] if key in number else number.setdefault(key, cols._new_proc(*key))
-            cols._append(p, s.ts, s.cpu_time_s, s.gpu_index, s.gpu_sm_pct, s.gpu_mem_mib)
+        cols, snaps, number, gpu_no = cls(), list(snaps), {}, {}
+        cols.proc.extend([number.setdefault((s.node_id, s.pid), len(number)) for s in snaps])
+        for node, pid in number:
+            cols._new_proc(node, pid)
+        gpus = [s.gpu_index for s in snaps]
+        cols.gpu.extend([-1 if g is None else gpu_no.setdefault(g, len(gpu_no)) for g in gpus])
+        cols.gpus.extend(gpu_no)
+        cols.ts.extend([s.ts for s in snaps])
+        cols.cpu.extend([s.cpu_time_s for s in snaps])
+        cols.sm.extend([math.nan if s.gpu_sm_pct is None else s.gpu_sm_pct for s in snaps])
+        cols.mem.extend([math.nan if s.gpu_mem_mib is None else s.gpu_mem_mib for s in snaps])
         return cols
 
     def snapshots(self) -> list[ProcSnapshot]:
@@ -387,7 +385,9 @@ def read_proc_trace(lines: Iterable[str]) -> ProcColumns:
     # every record's (process, ts), kept once some process's ts fails to increase, as only then can one repeat
     seen: set[tuple[int, float]] | None = None
     at_node = states = raw_ts = None
-    num, big = _NUM, _NUM_MAX
+    num, big, nan, gpu_no = _NUM, _NUM_MAX, math.nan, {}
+    add_proc, add_ts, add_cpu = cols.proc.append, cols.ts.append, cols.cpu.append
+    add_gpu, add_sm, add_mem = cols.gpu.append, cols.sm.append, cols.mem.append
     for line_no, obj in iter_records(lines):
         node, ts, pid, cpu_s = obj.get("node"), obj.get("ts"), obj.get("pid"), obj.get("cpu_s")
         gpu, sm, mem = obj.get("gpu"), obj.get("sm_pct"), obj.get("mem_mib")
@@ -400,7 +400,7 @@ def read_proc_trace(lines: Iterable[str]) -> ProcColumns:
         ):
             if ts != raw_ts or not ts:  # records at one instant share its rounding; zero keeps its sign
                 raw_ts, canon_ts = ts, round(float(ts), TS_DECIMALS)
-            ts = canon_ts
+            ts, cpu_s = canon_ts, float(cpu_s)
         else:
             node, ts, pid, cpu_s, gpu, sm, mem = _proc_record(obj, line_no)
         if node != at_node:
@@ -421,7 +421,13 @@ def read_proc_trace(lines: Iterable[str]) -> ProcColumns:
             state[1] = cpu_s
         if seen is not None:
             seen.add((state[0], ts))
-        cols._append(state[0], ts, cpu_s, gpu, sm, mem)
+        add_proc(state[0])
+        add_ts(ts)
+        add_cpu(cpu_s)
+        add_gpu(-1 if gpu is None else gpu_no.setdefault(gpu, len(gpu_no)))
+        add_sm(nan if sm is None else sm)
+        add_mem(nan if mem is None else mem)
+    cols.gpus.extend(gpu_no)
     return cols
 
 
