@@ -259,6 +259,12 @@ class TestAttribute:
         with pytest.raises(NegativeDelta):
             run_attribution(sc)
 
+    def test_repeated_snapshot_counts_as_its_last_copy(self):
+        # built objects skip the parser's duplicate check; the later copy wins
+        sc = self.flat_scenario()
+        with_copy = dict(sc, procs=sc["procs"][:3] + [proc_snap("n1", 10.0, 42, 9.0, gpu=0, sm=5.0)] + sc["procs"][3:])
+        assert run_attribution(with_copy) == run_attribution(sc)
+
     def test_fewer_than_two_snapshots_yields_no_slices(self):
         sc = self.flat_scenario()
         sc["procs"] = sc["procs"][:2]

@@ -8,6 +8,10 @@ conserve the power an independent interpolation finds at its midpoint.
 The metamorphic tests change the input in a way whose effect on the
 output is known exactly: reordering lines across series and nodes changes
 nothing, and doubling every watt reading doubles every watt field.
+
+A float reference, one slice at a time, pins the order of every sum
+(pids ascending, then job ids, then GPU indices), so that the output is
+reproducible to the last bit and not just within REL.
 """
 
 import io
@@ -17,6 +21,7 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from wattscope import (
@@ -30,7 +35,7 @@ from wattscope import (
     serialize_proc_trace,
 )
 from wattscope.cli import run
-from helpers import GAP_DEFAULT_S, lerp_series, naive_attribute, random_scenario
+from helpers import GAP_DEFAULT_S, lerp_series, naive_attribute, owner_oracle, random_scenario
 from test_attribution import assert_matches_naive
 
 REL = 1e-9
@@ -223,3 +228,68 @@ class TestMetamorphic:
             assert set(b["jobs"]) == set(a["jobs"])
             for job, entry in a["jobs"].items():
                 assert b["jobs"][job] == {"cpu_w": 2.0 * entry["cpu_w"], "gpu_w": 2.0 * entry["gpu_w"]}
+
+
+def ordered_float_attribute(power, procs, pidmap):
+    """Per-slice float arithmetic, summing in the documented order."""
+    series = {}
+    for s in power:
+        series.setdefault((s.node_id, s.source.kind, s.source.index), []).append((s.ts, s.power_w))
+    by_node = {}
+    for p in procs:
+        by_node.setdefault(p.node_id, {}).setdefault(p.ts, {})[p.pid] = p
+    out = []
+    for node in sorted(by_node):
+        mine = {k[1:]: np.array(sorted(v)).T for k, v in series.items() if k[0] == node and k[1] != "ext"}
+        ticks = sorted(by_node[node])
+        for t0, t1 in zip(ticks, ticks[1:]):
+            mid = (t0 + t1) / 2.0
+            at = {k: float(np.interp(mid, ts, w)) for k, (ts, w) in mine.items() if ts[0] <= mid <= ts[-1]}
+            owner = {pid: owner_oracle(pidmap, node, pid, t0) or 0 for pid in by_node[node][t0]}
+            at0, at1 = by_node[node][t0], by_node[node][t1]
+            deltas = {}
+            for pid in sorted(set(at0) & set(at1)):
+                deltas[owner[pid]] = deltas.get(owner[pid], 0.0) + (at1[pid].cpu_time_s - at0[pid].cpu_time_s)
+            cpu_p = 0.0
+            for key in sorted(k for k in mine if k[0] == "cpu"):
+                cpu_p += at.get(key, 0.0)
+            cpu_map, unattr_cpu = ordered_split(deltas, cpu_p)
+            gpu_maps, unattr_gpu = [], 0.0
+            for key in sorted(k for k in at if k[0] == "gpu"):
+                sm, mem = {}, {}
+                for pid in sorted(p for p in at0 if at0[p].gpu_index == key[1]):
+                    sm[owner[pid]] = sm.get(owner[pid], 0.0) + (at0[pid].gpu_sm_pct or 0.0)
+                    mem[owner[pid]] = mem.get(owner[pid], 0.0) + (at0[pid].gpu_mem_mib or 0.0)
+                weights = sm if any(v > 0 for v in sm.values()) else mem
+                if not any(v > 0 for v in weights.values()):
+                    weights = dict.fromkeys(sm, 1.0)
+                gmap, unattr = ordered_split(weights, at[key])
+                gpu_maps.append(gmap)
+                unattr_gpu += unattr
+            jobs = set(cpu_map).union(*gpu_maps)
+            per_job = {j: (cpu_map.get(j, 0.0), sum(g.get(j, 0.0) for g in gpu_maps)) for j in jobs}
+            out.append((node, t0, t1, per_job, unattr_cpu, unattr_gpu))
+    return out
+
+
+def ordered_split(weights, power):
+    """Proportional split with every sum taken over ascending job ids; job 0 is unattributed."""
+    total = sum(weights[j] for j in sorted(weights))
+    if total <= 0:
+        return {}, power
+    shares = {j: power * (weights[j] / total) for j in sorted(weights)}
+    return {j: w for j, w in shares.items() if j != 0}, 0.0 + shares.get(0, 0.0)
+
+
+class TestSummationOrder:
+    @settings(max_examples=25)
+    @given(scenarios)
+    def test_every_float_matches_the_ordered_reference(self, params):
+        sc = make_scenario(params)
+        lib = attribute(TraceBundle.build(sc["power"], sc["procs"]), build_timelines(sc["pidmap"], sc["jobs"]))
+        got = [
+            (s.node_id, s.interval.t0, s.interval.t1, {j: (p.cpu_w, p.gpu_w) for j, p in s.per_job.items()},
+             s.unattributed_cpu_w, s.unattributed_gpu_w)
+            for s in lib
+        ]
+        assert got == ordered_float_attribute(sc["power"], sc["procs"], sc["pidmap"])

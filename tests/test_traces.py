@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -206,6 +207,13 @@ class TestParseProcTrace:
             parse_proc_trace([proc_line(pid=0)])
         with pytest.raises(MalformedLine):
             parse_proc_trace([proc_line(pid=1.5)])
+
+    def test_timestamps_canonicalized_per_record(self):
+        # records at one instant may share its rounding, but zero keeps each record's sign
+        lines = [proc_line(ts=0.0, pid=41), proc_line(ts=-0.0, pid=42), proc_line(ts=1.0004, pid=41), proc_line(ts=1, pid=42)]
+        snaps = parse_proc_trace(lines)
+        assert [math.copysign(1.0, s.ts) for s in snaps[:2]] == [1.0, -1.0]
+        assert [s.ts for s in snaps[2:]] == [1.0, 1.0]
 
     def test_negative_cpu_time_rejected(self):
         with pytest.raises(MalformedLine):
