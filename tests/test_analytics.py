@@ -216,11 +216,12 @@ class TestGpuHistogram:
             proc_snap("n1", 0.0, 41, 0.0, gpu=0, sm=0.0),
             proc_snap("n1", 0.0, 42, 0.0, gpu=0, sm=50.0),
             proc_snap("n1", 0.0, 43, 0.0, gpu=0, sm=100.0),
+            proc_snap("n1", 0.0, 44, 0.0, gpu=0, sm=-5.0),  # built snapshots are unchecked: lands in bin 0
         ]
         hist = gpu_histogram(procs, n_bins=2)
         assert hist.bin_edges == (0.0, 50.0, 100.0)
-        assert hist.counts == (1, 2)
-        assert hist.n_samples == 3
+        assert hist.counts == (2, 2)
+        assert hist.n_samples == 4
         assert hist.excluded == 0
 
     def test_full_scale_reading_lands_in_last_bin(self):

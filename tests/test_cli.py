@@ -506,6 +506,71 @@ class TestUsageAndEnv:
         assert code == 0
 
 
+def complete_argv(fixture, command):
+    """An argv for command that succeeds as it stands."""
+    ownership = ["--proc", fixture["proc"], "--pidmap", fixture["pidmap"], "--jobs", fixture["jobs"]]
+    return {
+        "attribute": ["attribute", "--power", fixture["power"], *ownership],
+        "calibrate": ["calibrate", "--power", fixture["power"], "--external", fixture["external"]],
+        "report status": report_argv(fixture, "status"),
+        "report gpu-hist": ["report", "gpu-hist", "--proc", fixture["proc"]],
+    }[command]
+
+
+BAD_OPTIONS = [
+    ("report gpu-hist", "--bins", "0", "a positive integer"),
+    ("report gpu-hist", "--bins", "abc", "a positive integer"),
+    ("report status", "--bins", "-2", "a positive integer"),
+    ("attribute", "--max-gap-s", "0", "a positive number"),
+    ("report status", "--max-gap-s", "nan", "a positive number"),
+    ("attribute", "--threads", "0", "a positive integer"),
+    ("report status", "--threads", "1.5", "a positive integer"),
+    ("calibrate", "--format", "xml", "text, csv or json"),
+    ("report status", "--format", "yaml", "text, csv or json"),
+    ("report status", "--column", "joules", "one of ext/gpu/cpu"),
+    ("report gpu-hist", "--metric", "temp", "sm or mem"),
+]
+
+
+class TestUsageErrorMessages:
+    """The exact stderr line and exit code of every usage error."""
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("command, flag, value, expected", BAD_OPTIONS)
+    def test_bad_option_value(self, fixture, monkeypatch, command, flag, value, expected, via):
+        argv = complete_argv(fixture, command)
+        if via == "flag":
+            argv += [flag, value]
+        else:
+            monkeypatch.setenv("WATTSCOPE_" + flag[2:].upper().replace("-", "_"), value)
+        assert run_cli(*argv) == (2, "", f"usage error: {flag} must be {expected}, got {value!r}\n")
+
+    @pytest.mark.parametrize("command, flag, value, expected", BAD_OPTIONS)
+    def test_flag_overrides_a_bad_env_value(self, fixture, monkeypatch, command, flag, value, expected):
+        monkeypatch.setenv("WATTSCOPE_" + flag[2:].upper().replace("-", "_"), value)
+        good = {"--bins": "4", "--max-gap-s": "5", "--threads": "2", "--format": "csv", "--column": "cpu", "--metric": "sm"}
+        code, out, err = run_cli(*complete_argv(fixture, command), flag, good[flag])
+        assert (code, err) == (0, "")
+        assert out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["attribute", "--power", "p.jsonl"], "attribute requires --proc, --pidmap, --jobs"),
+            (["calibrate", "--power", "p.jsonl"], "calibrate requires --external"),
+            (["report", "status"], "report status requires --jobs"),
+            (["report", "user", "--jobs", "@jobs"], "computing slices requires --power, --proc, --pidmap"),
+            (["report", "gpu-hist"], "report gpu-hist requires --proc"),
+            (["report", "gpu-hist", "--proc", "@proc", "--per-job-mean"], "--per-job-mean requires --pidmap, --jobs"),
+            ([], "a subcommand is required"),
+            (["validate"], "validate needs at least one input file"),
+        ],
+    )
+    def test_missing_input(self, fixture, argv, message):
+        argv = [fixture[a[1:]] if a.startswith("@") else a for a in argv]
+        assert run_cli(*argv) == (2, "", f"usage error: {message}\n")
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_matches_in_process(self, fixture):
         argv = report_argv(fixture, "status", "--format", "csv")

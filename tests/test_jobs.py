@@ -18,6 +18,7 @@ from wattscope import (
     serialize_jobs,
     serialize_pidmap,
 )
+from wattscope.jobs import check_owners, owner_at, read_pidmap
 from helpers import job_pids_oracle, job_record, owner_oracle, pidmap_snap
 
 
@@ -250,3 +251,115 @@ class TestPidOwner:
             for ts, pids in tl.entries:
                 for pid in pids:
                     assert pid_owner(timelines, tl.node_id, pid, ts) == tl.job_id
+
+
+SNAP_TS = (0.0, 1.0, 2.5, 4.0)
+FIRST_JOB = {"n1": 7, "n2": 17}  # each node runs jobs FIRST_JOB[node] and FIRST_JOB[node] + 1
+
+
+def pidmap_lines(records):
+    """One pidmap line per (node, ts, [(pid, k)]) record, where k picks the node's job."""
+    return [pidmap_line(node, ts, [(pid, FIRST_JOB[node] + k) for pid, k in pairs]) for node, ts, pairs in records]
+
+
+record_lists = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(FIRST_JOB)),
+        st.sampled_from(SNAP_TS),
+        st.lists(st.tuples(st.integers(1, 4), st.integers(0, 1)), max_size=3),
+    ),
+    max_size=10,
+)
+
+
+class TestReadPidmap:
+    @given(
+        st.lists(st.tuples(st.sampled_from(sorted(FIRST_JOB)), st.sampled_from(SNAP_TS), st.lists(st.integers(1, 6), max_size=4)), max_size=10),
+        st.lists(st.tuples(st.sampled_from(["n1", "n2", "n3"]), st.integers(0, 7), st.one_of(st.sampled_from(SNAP_TS), st.floats(-1.0, 6.0))), max_size=30),
+    )
+    def test_owner_at_matches_oracle_over_merged_lines(self, records, queries):
+        # a pid's job is fixed per node, so lines that share (node, ts) never conflict
+        records = [(node, ts, [(pid, pid % 2) for pid in pids]) for node, ts, pids in records]
+        merged: dict = {}
+        for node, ts, pairs in records:
+            merged.setdefault((node, ts), {}).update((pid, FIRST_JOB[node] + k) for pid, k in pairs)
+        snaps = [pidmap_snap(node, ts, owners) for (node, ts), owners in merged.items()]
+        index = read_pidmap(pidmap_lines(records))
+        for node, pid, t in queries:
+            assert owner_at(index, node, pid, t) == owner_oracle(snaps, node, pid, t)
+
+    @given(record_lists)
+    def test_duplicate_pid_matches_build_timelines(self, records):
+        owners: dict = {}
+        conflict = None
+        for node, ts, pairs in records:
+            for pid, k in pairs:
+                if owners.setdefault((node, ts, pid), k) != k and conflict is None:
+                    conflict = (pid, ts)
+        snaps = [PidMapSnapshot(node, ts, tuple((pid, FIRST_JOB[node] + k) for pid, k in pairs)) for node, ts, pairs in records]
+        jobs = [job_record(FIRST_JOB[node] + k, node=node) for node in FIRST_JOB for k in (0, 1)]
+        raised = []
+        for build in (lambda: read_pidmap(pidmap_lines(records)), lambda: build_timelines(snaps, jobs)):
+            try:
+                build()
+            except DuplicatePid as exc:
+                raised.append((exc.pid, exc.ts))
+            else:
+                raised.append(None)
+        assert raised == [conflict, conflict]
+
+    def test_duplicate_pid_names_its_line(self):
+        lines = [pidmap_line(mapping=[[41, 7]]), pidmap_line(ts=20.0, mapping=[[41, 8]]), pidmap_line(mapping=[[42, 8], [41, 8]])]
+        with pytest.raises(DuplicatePid) as exc:
+            read_pidmap(lines)
+        assert (exc.value.line_no, exc.value.pid, exc.value.ts) == (3, 41, 10.0)
+
+    def test_errors_come_in_pair_order_within_a_line(self):
+        with pytest.raises(DuplicatePid):
+            read_pidmap([pidmap_line(mapping=[[41, 7], [41, 8], [0, 7]])])
+        with pytest.raises(MalformedLine, match="invalid pid 0"):
+            read_pidmap([pidmap_line(mapping=[[0, 7], [41, 7], [41, 8]])])
+        with pytest.raises(MalformedLine, match="invalid job id 0"):
+            read_pidmap([pidmap_line(mapping=[[41, 7]]), pidmap_line(mapping=[[41, 0], [41, 8]])])
+
+    def test_empty_snapshot_ends_ownership(self):
+        index = read_pidmap([pidmap_line(ts=1.0, mapping=[[41, 7]]), pidmap_line(ts=2.0, mapping=[])])
+        assert index == {"n1": ([1.0, 2.0], [{41: 7}, {}])}
+
+
+class TestCheckOwners:
+    def test_returns_jobs_by_id(self):
+        jobs = [job_record(7), job_record(8, node="n2")]
+        index = read_pidmap([pidmap_line(mapping=[[41, 7]]), pidmap_line(node="n2", mapping=[[41, 8]])])
+        assert check_owners(index, jobs) == {7: jobs[0], 8: jobs[1]}
+
+    def test_unknown_job(self):
+        with pytest.raises(UnknownJob) as exc:
+            check_owners(read_pidmap([pidmap_line(mapping=[[41, 7], [42, 9]])]), [job_record(7)])
+        assert exc.value.job_id == 9
+
+    def test_multi_node_job(self):
+        with pytest.raises(MultiNodeJob, match=r"record says n1, seen on n2"):
+            check_owners(read_pidmap([pidmap_line(node="n2", mapping=[[41, 7]])]), [job_record(7)])
+
+    def test_first_error_in_node_snapshot_pid_order(self):
+        lines = [
+            pidmap_line(node="n2", ts=1.0, mapping=[[41, 5]]),
+            pidmap_line(node="n1", ts=2.0, mapping=[[41, 6]]),
+            pidmap_line(node="n1", ts=1.0, mapping=[[43, 4], [42, 3]]),
+        ]
+        with pytest.raises(UnknownJob) as exc:
+            check_owners(read_pidmap(lines), [])
+        assert exc.value.job_id == 3
+
+
+class TestOwnerAt:
+    def test_step_hold(self):
+        index = read_pidmap([pidmap_line(ts=10.0, mapping=[[41, 7]]), pidmap_line(ts=20.0, mapping=[[41, 8], [42, 8]])])
+        assert owner_at(index, "n1", 41, 9.999) is None  # before the first snapshot
+        assert owner_at(index, "n1", 41, 10.0) == 7
+        assert owner_at(index, "n1", 41, 19.999) == 7
+        assert owner_at(index, "n1", 41, 20.0) == 8
+        assert owner_at(index, "n1", 42, 15.0) is None  # not yet mapped
+        assert owner_at(index, "n1", 99, 25.0) is None  # unknown pid
+        assert owner_at(index, "n2", 41, 25.0) is None  # unknown node
