@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -53,22 +54,16 @@ class UtilizationHistogram:
     excluded: int  # GPU samples lacking the metric
 
 
-def _select_column(gpu: float, cpu: float, ext: float, column: str) -> float:
-    if column == "ext":
-        return ext
-    if column == "gpu":
-        return gpu
-    if column == "cpu":
-        return cpu
-    raise ValueError(f"unknown share column {column!r}")
-
-
-def _group_rows(
+def _breakdown(
+    key_label: str,
     jobs: Sequence[JobRecord],
     energies: Mapping[int, JobEnergy],
-    key_of: Callable[[JobRecord], str],
     column: str,
-) -> list[BreakdownRow]:
+    order: Callable[[str, float], object],
+) -> BreakdownReport:
+    """Group jobs by their key_label field; rows sort by order(key, kWh of the share column)."""
+    if column not in SHARE_COLUMNS:
+        raise ValueError(f"unknown share column {column!r}")
     by_id = {j.job_id: j for j in jobs}
     for job_id in energies:
         if job_id not in by_id:
@@ -76,41 +71,37 @@ def _group_rows(
 
     groups: dict[str, list[JobRecord]] = {}
     for job in jobs:
-        groups.setdefault(key_of(job), []).append(job)
+        groups.setdefault(getattr(job, key_label), []).append(job)
 
-    sums: dict[str, tuple[float, float, float]] = {}
+    sums: dict[str, dict[str, float]] = {}  # joules per column
     for key, members in groups.items():
-        gpu_j = cpu_j = ext_j = 0.0
+        joules = dict.fromkeys(("gpu", "cpu", "ext"), 0.0)
         # accumulate in ascending job id order so sums are reproducible
         for job in sorted(members, key=lambda j: j.job_id):
             energy = energies.get(job.job_id)
             if energy is None:
                 continue
-            gpu_j += energy.gpu_kwh * J_PER_KWH
-            cpu_j += energy.cpu_kwh * J_PER_KWH
+            joules["gpu"] += energy.gpu_kwh * J_PER_KWH
+            joules["cpu"] += energy.cpu_kwh * J_PER_KWH
             if energy.ext_kwh is not None:
-                ext_j += energy.ext_kwh * J_PER_KWH
-        sums[key] = (gpu_j, cpu_j, ext_j)
+                joules["ext"] += energy.ext_kwh * J_PER_KWH
+        sums[key] = joules
 
-    total = sum(
-        _select_column(*sums[key], column) for key in sorted(sums)
-    )
-    rows = []
-    for key in sorted(sums):
-        gpu_j, cpu_j, ext_j = sums[key]
-        selected = _select_column(gpu_j, cpu_j, ext_j, column)
-        share = 100.0 * selected / total if total > 0 else 0.0
-        rows.append(
-            BreakdownRow(
-                key=key,
-                n_jobs=len(groups[key]),
-                gpu_kwh=gpu_j / J_PER_KWH,
-                cpu_kwh=cpu_j / J_PER_KWH,
-                ext_kwh=ext_j / J_PER_KWH,
-                share_pct=share,
-            )
+    selected = {key: sums[key][column] for key in sorted(sums)}
+    total = sum(selected.values())
+    rows = [
+        BreakdownRow(
+            key=key,
+            n_jobs=len(groups[key]),
+            gpu_kwh=joules["gpu"] / J_PER_KWH,
+            cpu_kwh=joules["cpu"] / J_PER_KWH,
+            ext_kwh=joules["ext"] / J_PER_KWH,
+            share_pct=100.0 * selected[key] / total if total > 0 else 0.0,
         )
-    return rows
+        for key, joules in sorted(sums.items())
+    ]
+    rows.sort(key=lambda r: order(r.key, selected[r.key] / J_PER_KWH))
+    return BreakdownReport(key_label, column, tuple(rows))
 
 
 def _status_sort_key(status: str) -> tuple[int, str]:
@@ -134,11 +125,7 @@ def aggregate_by_status(
         UnknownJob: energies contains a job id with no record (this
             includes the UNATTRIBUTED pseudo-job; filter it out first).
     """
-    if column not in SHARE_COLUMNS:
-        raise ValueError(f"unknown share column {column!r}")
-    rows = _group_rows(jobs, energies, lambda j: j.status, column)
-    rows.sort(key=lambda r: _status_sort_key(r.key))
-    return BreakdownReport("status", column, tuple(rows))
+    return _breakdown("status", jobs, energies, column, lambda status, _: _status_sort_key(status))
 
 
 def aggregate_by_user(
@@ -151,11 +138,7 @@ def aggregate_by_user(
     Rows sort by the selected energy column descending (user name breaks
     ties), so the top of the report answers "who spends the most".
     """
-    if column not in SHARE_COLUMNS:
-        raise ValueError(f"unknown share column {column!r}")
-    rows = _group_rows(jobs, energies, lambda j: j.user, column)
-    rows.sort(key=lambda r: (-_select_column(r.gpu_kwh, r.cpu_kwh, r.ext_kwh, column), r.key))
-    return BreakdownReport("user", column, tuple(rows))
+    return _breakdown("user", jobs, energies, column, lambda user, kwh: (-kwh, user))
 
 
 def gpu_histogram(
@@ -216,18 +199,13 @@ def gpu_histogram(
             keyed.setdefault(key, []).append(value)
 
     if job_of is not None:
-        values = [sum(vs) / len(vs) for _, vs in sorted(keyed.items(), key=lambda kv: repr(kv[0]))]
+        values = [sum(vs) / len(vs) for vs in keyed.values()]
 
     edges = [100.0 * i / n_bins for i in range(n_bins + 1)]
     counts = [0] * n_bins
     for value in values:
-        if value >= edges[-1]:
-            idx = n_bins - 1  # final bin is right-closed
-        else:
-            idx = 0
-            while idx + 1 < n_bins and value >= edges[idx + 1]:
-                idx += 1
-        counts[idx] += 1
+        # the last bin is right-closed, and a negative reading from unchecked built snapshots lands in bin 0
+        counts[min(max(bisect_right(edges, value) - 1, 0), n_bins - 1)] += 1
     return UtilizationHistogram(metric, tuple(edges), tuple(counts), len(values), excluded)
 
 

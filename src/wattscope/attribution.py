@@ -17,7 +17,7 @@ Slices serialize to JSON lines:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .errors import MalformedLine, NegativeDelta, OverlappingSlices
 from .jobs import UNATTRIBUTED_JOB, OwnerIndex, PidTimeline, ownership_index
@@ -313,6 +313,13 @@ def attribute(
     return attribute_columns(power, procs, ownership_index(timelines))
 
 
+def _gap_rule(max_gap_s: float) -> Callable[[float], bool]:
+    """Whether a slice of a given duration is a monitoring gap: longer than max_gap_s."""
+    if max_gap_s <= 0:
+        raise ValueError("max_gap_s must be positive")
+    return lambda duration_s: duration_s > max_gap_s
+
+
 def integrate_energy(
     slices: Sequence[AttributionSlice], max_gap_s: float = 10.0
 ) -> dict[int, JobEnergy]:
@@ -327,8 +334,7 @@ def integrate_energy(
         OverlappingSlices: two slices on one node overlap in time.
         ValueError: max_gap_s is not positive.
     """
-    if max_gap_s <= 0:
-        raise ValueError("max_gap_s must be positive")
+    is_gap = _gap_rule(max_gap_s)
     ordered = sorted(slices, key=lambda s: (s.node_id, s.interval.t0))
     last_end: dict[str, float] = {}
     for s in ordered:
@@ -344,7 +350,7 @@ def integrate_energy(
 
     for s in ordered:
         dt = s.interval.duration_s
-        if dt > max_gap_s:
+        if is_gap(dt):
             continue
         for job_id in sorted(s.per_job):
             p = s.per_job[job_id]
@@ -374,13 +380,12 @@ def integrate_energy(
 
 def slice_coverage(slices: Sequence[AttributionSlice], max_gap_s: float = 10.0) -> CoverageStats:
     """Report how much slice time integrate_energy keeps vs excludes."""
-    if max_gap_s <= 0:
-        raise ValueError("max_gap_s must be positive")
+    is_gap = _gap_rule(max_gap_s)
     covered = excluded = 0.0
     n_excluded = 0
     for s in slices:
         dt = s.interval.duration_s
-        if dt > max_gap_s:
+        if is_gap(dt):
             excluded += dt
             n_excluded += 1
         else:
@@ -436,6 +441,8 @@ def parse_slices(lines: Iterable[str]) -> list[AttributionSlice]:
         for key, entry in raw_jobs.items():
             try:
                 job_id = int(key)
+                if str(job_id) != key:  # "07", "+7", " 7" or "７" would alias job 7
+                    raise ValueError
             except ValueError:
                 raise MalformedLine(line_no, f"invalid job key {key!r}") from None
             if job_id < 1 or not isinstance(entry, dict):

@@ -3,7 +3,8 @@
 Subcommands: validate, attribute, calibrate, report (status | user |
 gpu-hist).  Every flag falls back to a WATTSCOPE_* environment variable
 (e.g. --power -> WATTSCOPE_POWER).  Exit codes: 0 success, 1 input
-validation failure, 2 usage error.  Results go to stdout and are written
+validation failure, 2 usage error; bad option values are reported in
+argv order, then those from the environment.  Results go to stdout and are written
 only after the whole command has succeeded, so stdout is empty on
 failure; diagnostics (with line numbers) go to stderr.  Identical argv
 and input files produce byte-identical stdout.  --threads is accepted and
@@ -16,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, TextIO
 
@@ -25,12 +25,13 @@ from .analytics import MEM_PCT, SM_PCT, aggregate_by_status, aggregate_by_user, 
 from .attribution import attribute_columns, integrate_energy, parse_slices, serialize_slices
 from .calibration import CalibrationModel, apply_calibration, fit_nodes, parse_models, serialize_models
 from .errors import TraceError, WattscopeError
-from .jobs import UNATTRIBUTED_JOB, JobRecord, check_owners, owner_at, parse_jobs, read_pidmap
+from .jobs import UNATTRIBUTED_JOB, JobRecord, OwnerIndex, check_owners, owner_at, parse_jobs, read_pidmap
 from .traces import EXT, read_power_trace, read_proc_trace
 
 ENV_PREFIX = "WATTSCOPE_"
 
 _METRICS = {"sm": SM_PCT, "mem": MEM_PCT, SM_PCT: SM_PCT, MEM_PCT: MEM_PCT}
+_PATHS = ("power", "proc", "pidmap", "jobs", "external", "slices", "model", "capacities")
 
 
 class _UsageError(Exception):
@@ -51,119 +52,75 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env(name: str, fallback: str | None = None) -> str | None:
-    return os.environ.get(ENV_PREFIX + name, fallback)
+def _checked(flag: str, expected: str, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type for flag: parse's value, or a usage error when parse gives None or fails.
+
+    argparse lets the usage error through unchanged, for argv values in
+    argv order and then for WATTSCOPE_* string defaults.
+    """
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None:
+            raise _UsageError(f"{flag} must be {expected}, got {text!r}")
+        return value
+
+    return convert
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation options; paths may be None when unused."""
+def _positive(number: Callable[[str], float]) -> Callable[[str], float | None]:
+    def parse(text: str):
+        value = number(text)
+        return value if value > 0 else None
 
-    power: str | None = None
-    proc: str | None = None
-    pidmap: str | None = None
-    jobs: str | None = None
-    external: str | None = None
-    slices: str | None = None
-    model: str | None = None
-    capacities: str | None = None
-    fmt: str = "text"
-    column: str = "ext"
-    metric: str = SM_PCT
-    bins: int = analytics.DEFAULT_BINS
-    max_gap_s: float = 10.0
-    threads: int = 1
-    affine: bool = False
-    per_job_mean: bool = False
+    return parse
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wattscope", description=__doc__.splitlines()[0])
+    parser.set_defaults(**dict.fromkeys(_PATHS, None))
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def path_flag(p: _Parser, name: str):
-        p.add_argument(f"--{name}", default=_env(name.upper()), metavar="PATH")
+    def flag(p: _Parser, name: str, default: str | None = None, check: tuple | None = None, **kw):
+        default = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), default)
+        p.add_argument(f"--{name}", default=default, type=_checked(f"--{name}", *check) if check else None, **kw)
+
+    def paths(p: _Parser, *names: str):
+        for name in names:
+            flag(p, name, metavar="PATH")
 
     def common_numeric(p: _Parser):
-        p.add_argument("--max-gap-s", default=_env("MAX_GAP_S", "10"), metavar="S")
-        p.add_argument("--threads", default=_env("THREADS", "1"), metavar="N")
+        flag(p, "max-gap-s", "10", ("a positive number", _positive(float)), metavar="S")
+        flag(p, "threads", "1", ("a positive integer", _positive(int)), metavar="N")
+
+    def output_format(p: _Parser):
+        flag(p, "format", "text", ("text, csv or json", {k: k for k in ("text", "csv", "json")}.get), metavar="FMT")
 
     v = sub.add_parser("validate", help="parse inputs and report their sizes")
-    for name in ("power", "proc", "pidmap", "jobs", "external", "slices"):
-        path_flag(v, name)
+    paths(v, "power", "proc", "pidmap", "jobs", "external", "slices")
 
     a = sub.add_parser("attribute", help="emit attribution slices as JSON lines")
-    for name in ("power", "proc", "pidmap", "jobs"):
-        path_flag(a, name)
+    paths(a, "power", "proc", "pidmap", "jobs")
     common_numeric(a)
 
     c = sub.add_parser("calibrate", help="fit per-node wattmeter scale factors")
-    for name in ("power", "external", "model"):
-        path_flag(c, name)
+    paths(c, "power", "external", "model")
     c.add_argument("--affine", action="store_true")
-    c.add_argument("--format", default=_env("FORMAT", "text"), dest="fmt")
+    output_format(c)
 
     r = sub.add_parser("report", help="render energy and utilization reports")
     r.add_argument("what", choices=["status", "user", "gpu-hist"])
-    for name in ("jobs", "slices", "power", "proc", "pidmap", "model", "capacities"):
-        path_flag(r, name)
-    r.add_argument("--format", default=_env("FORMAT", "text"), dest="fmt")
-    r.add_argument("--column", default=_env("COLUMN", "ext"))
-    r.add_argument("--metric", default=_env("METRIC", "sm"))
-    r.add_argument("--bins", default=_env("BINS", str(analytics.DEFAULT_BINS)), metavar="N")
+    paths(r, "jobs", "slices", "power", "proc", "pidmap", "model", "capacities")
+    output_format(r)
+    flag(r, "column", "ext", (f"one of {'/'.join(analytics.SHARE_COLUMNS)}", {k: k for k in analytics.SHARE_COLUMNS}.get))
+    flag(r, "metric", "sm", ("sm or mem", _METRICS.get))
+    flag(r, "bins", str(analytics.DEFAULT_BINS), ("a positive integer", _positive(int)), metavar="N")
     r.add_argument("--per-job-mean", action="store_true")
     common_numeric(r)
     return parser
-
-
-def _positive_int(text: str, flag: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise _UsageError(f"{flag} must be a positive integer, got {text!r}")
-    return value
-
-
-def _positive_float(text: str, flag: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not value > 0:
-        raise _UsageError(f"{flag} must be a positive number, got {text!r}")
-    return value
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    fmt = getattr(args, "fmt", "text")
-    if fmt not in ("text", "csv", "json"):
-        raise _UsageError(f"--format must be text, csv or json, got {fmt!r}")
-    column = getattr(args, "column", "ext")
-    if column not in analytics.SHARE_COLUMNS:
-        raise _UsageError(f"--column must be one of {'/'.join(analytics.SHARE_COLUMNS)}, got {column!r}")
-    metric = _METRICS.get(getattr(args, "metric", "sm"))
-    if metric is None:
-        raise _UsageError(f"--metric must be sm or mem, got {args.metric!r}")
-    return RunConfig(
-        power=getattr(args, "power", None),
-        proc=getattr(args, "proc", None),
-        pidmap=getattr(args, "pidmap", None),
-        jobs=getattr(args, "jobs", None),
-        external=getattr(args, "external", None),
-        slices=getattr(args, "slices", None),
-        model=getattr(args, "model", None),
-        capacities=getattr(args, "capacities", None),
-        fmt=fmt,
-        column=column,
-        metric=metric,
-        bins=_positive_int(getattr(args, "bins", "20"), "--bins"),
-        max_gap_s=_positive_float(getattr(args, "max_gap_s", "10"), "--max-gap-s"),
-        threads=_positive_int(getattr(args, "threads", "1"), "--threads"),
-        affine=getattr(args, "affine", False),
-        per_job_mean=getattr(args, "per_job_mean", False),
-    )
 
 
 def _parse_file(path: str, parser_fn: Callable, *args):
@@ -190,6 +147,8 @@ def _load_capacities(path: str) -> dict[tuple[str, int], float]:
         for key, mib in per_gpu.items():
             try:
                 index = int(key)
+                if str(index) != key:  # "01" would alias gpu 1
+                    raise ValueError
             except ValueError:
                 raise WattscopeError(f"{path}: invalid gpu index {key!r}") from None
             if isinstance(mib, bool) or not isinstance(mib, (int, float)) or mib <= 0:
@@ -198,24 +157,27 @@ def _load_capacities(path: str) -> dict[tuple[str, int], float]:
     return out
 
 
-def _require(cfg: RunConfig, names: Sequence[str], context: str):
-    missing = [f"--{n}" for n in names if getattr(cfg, n) is None]
+def _require(args: argparse.Namespace, names: Sequence[str], context: str):
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
     if missing:
         raise _UsageError(f"{context} requires {', '.join(missing)}")
 
 
-def _load_slices(cfg: RunConfig, jobs: Sequence[JobRecord] | None = None):
+def _owners(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = None) -> OwnerIndex:
+    """The --pidmap index, checked against jobs or else the --jobs file."""
+    owners = _parse_file(args.pidmap, read_pidmap)
+    check_owners(owners, jobs if jobs is not None else _parse_file(args.jobs, parse_jobs))
+    return owners
+
+
+def _load_slices(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = None):
     """Read saved slices, or compute them; jobs, when given, is the parsed --jobs file."""
-    if cfg.slices is not None:
-        return _parse_file(cfg.slices, parse_slices)
-    _require(cfg, ("power", "proc", "pidmap", "jobs"), "computing slices")
-    power = _parse_file(cfg.power, read_power_trace)
-    procs = _parse_file(cfg.proc, read_proc_trace)
-    owners = _parse_file(cfg.pidmap, read_pidmap)
-    if jobs is None:
-        jobs = _parse_file(cfg.jobs, parse_jobs)
-    check_owners(owners, jobs)
-    return attribute_columns(power, procs, owners)
+    if args.slices is not None:
+        return _parse_file(args.slices, parse_slices)
+    _require(args, ("power", "proc", "pidmap", "jobs"), "computing slices")
+    power = _parse_file(args.power, read_power_trace)
+    procs = _parse_file(args.proc, read_proc_trace)
+    return attribute_columns(power, procs, _owners(args, jobs))
 
 
 def _apply_models(slices, models: Sequence[CalibrationModel], err: TextIO):
@@ -238,7 +200,7 @@ def _apply_models(slices, models: Sequence[CalibrationModel], err: TextIO):
     return out
 
 
-def _cmd_validate(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
+def _cmd_validate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     readers = (
         ("power", read_power_trace),
         ("proc", read_proc_trace),
@@ -249,7 +211,7 @@ def _cmd_validate(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
     )
     parts = []
     for name, reader in readers:
-        path = getattr(cfg, name)
+        path = getattr(args, name)
         if path is None:
             continue
         parsed = _parse_file(path, reader)
@@ -261,22 +223,22 @@ def _cmd_validate(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_attribute(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
-    _require(cfg, ("power", "proc", "pidmap", "jobs"), "attribute")
-    slices = _load_slices(cfg)
+def _cmd_attribute(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    _require(args, ("power", "proc", "pidmap", "jobs"), "attribute")
+    slices = _load_slices(args)
     out.write(serialize_slices(slices))
     return 0
 
 
-def _cmd_calibrate(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
-    _require(cfg, ("power", "external"), "calibrate")
-    software = _parse_file(cfg.power, read_power_trace)
-    external = _parse_file(cfg.external, read_power_trace, EXT)
-    models = fit_nodes(software, external, affine=cfg.affine)
-    if cfg.model is not None:
-        with open(cfg.model, "w", encoding="utf-8") as fh:
+def _cmd_calibrate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    _require(args, ("power", "external"), "calibrate")
+    software = _parse_file(args.power, read_power_trace)
+    external = _parse_file(args.external, read_power_trace, EXT)
+    models = fit_nodes(software, external, affine=args.affine)
+    if args.model is not None:
+        with open(args.model, "w", encoding="utf-8") as fh:
             fh.write(serialize_models(models))
-    if cfg.fmt == "json":
+    if args.format == "json":
         out.write(serialize_models(models))
     else:
         header = ["node", "k", "mape_pct", "energy_err_pct", "n"]
@@ -290,44 +252,43 @@ def _cmd_calibrate(cfg: RunConfig, out: TextIO, err: TextIO) -> int:
             ]
             for m in models
         ]
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             out.write(analytics._render_csv(header, rows))
         else:
             out.write(analytics._render_table(header, rows))
     return 0
 
 
-def _job_of_from(cfg: RunConfig) -> Callable[[str, int, float], int | None]:
-    _require(cfg, ("pidmap", "jobs"), "--per-job-mean")
-    owners = _parse_file(cfg.pidmap, read_pidmap)
-    check_owners(owners, _parse_file(cfg.jobs, parse_jobs))
-    return partial(owner_at, owners)
-
-
-def _cmd_report(cfg: RunConfig, what: str, out: TextIO, err: TextIO) -> int:
-    if what == "gpu-hist":
-        _require(cfg, ("proc",), "report gpu-hist")
-        procs = _parse_file(cfg.proc, read_proc_trace)
-        capacities = _load_capacities(cfg.capacities) if cfg.capacities else None
-        job_of = _job_of_from(cfg) if cfg.per_job_mean else None
-        hist = gpu_histogram(procs, cfg.metric, cfg.bins, capacities, job_of)
-        out.write(render_report(hist, cfg.fmt))
+def _cmd_report(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    if args.what == "gpu-hist":
+        _require(args, ("proc",), "report gpu-hist")
+        procs = _parse_file(args.proc, read_proc_trace)
+        capacities = _load_capacities(args.capacities) if args.capacities else None
+        job_of = None
+        if args.per_job_mean:
+            _require(args, ("pidmap", "jobs"), "--per-job-mean")
+            job_of = partial(owner_at, _owners(args))
+        hist = gpu_histogram(procs, args.metric, args.bins, capacities, job_of)
+        out.write(render_report(hist, args.format))
         return 0
 
-    _require(cfg, ("jobs",), f"report {what}")
-    jobs = _parse_file(cfg.jobs, parse_jobs)
-    slices = _load_slices(cfg, jobs)
-    if cfg.model is not None:
-        models = _parse_file(cfg.model, parse_models)
+    _require(args, ("jobs",), f"report {args.what}")
+    jobs = _parse_file(args.jobs, parse_jobs)
+    slices = _load_slices(args, jobs)
+    if args.model is not None:
+        models = _parse_file(args.model, parse_models)
         slices = _apply_models(slices, models, err)
-    energies = integrate_energy(slices, max_gap_s=cfg.max_gap_s)
+    energies = integrate_energy(slices, max_gap_s=args.max_gap_s)
     energies.pop(UNATTRIBUTED_JOB, None)  # pseudo-job is not a scheduler status
-    if what == "status":
-        report = aggregate_by_status(jobs, energies, cfg.column)
+    if args.what == "status":
+        report = aggregate_by_status(jobs, energies, args.column)
     else:
-        report = aggregate_by_user(jobs, energies, cfg.column)
-    out.write(render_report(report, cfg.fmt))
+        report = aggregate_by_user(jobs, energies, args.column)
+    out.write(render_report(report, args.format))
     return 0
+
+
+_COMMANDS = {"validate": _cmd_validate, "attribute": _cmd_attribute, "calibrate": _cmd_calibrate, "report": _cmd_report}
 
 
 def run(
@@ -343,14 +304,7 @@ def run(
         args = parser.parse_args(list(argv) if argv is not None else None)
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        cfg = _config(args)
-        if args.command == "validate":
-            return _cmd_validate(cfg, out, err)
-        if args.command == "attribute":
-            return _cmd_attribute(cfg, out, err)
-        if args.command == "calibrate":
-            return _cmd_calibrate(cfg, out, err)
-        return _cmd_report(cfg, args.what, out, err)
+        return _COMMANDS[args.command](args, out, err)
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 2

@@ -65,7 +65,18 @@ class PidTimeline:
     entries: tuple[tuple[float, frozenset[int]], ...]
 
 
-def _step_index(merged: dict) -> OwnerIndex:
+def _step_index(snapshots: Iterable[tuple[str, float, Iterable[tuple[int, int]], int]]) -> OwnerIndex:
+    """Merge (node, ts, (pid, job_id) pairs, line_no) snapshots that share (node, ts) into the step index.
+
+    Pairs are read in order, so an error a pair iterator raises comes in
+    file order with the DuplicatePid raised here for a pid given two jobs.
+    """
+    merged: dict[tuple[str, float], dict[int, int]] = {}
+    for node, ts, pairs, line_no in snapshots:
+        assignments = merged.setdefault((node, ts), {})
+        for pid, job_id in pairs:
+            if assignments.setdefault(pid, job_id) != job_id:
+                raise DuplicatePid(pid, ts, line_no)
     index: OwnerIndex = {}
     for node, ts in sorted(merged):
         ts_list, owners = index.setdefault(node, ([], []))
@@ -79,15 +90,9 @@ def read_pidmap(lines: Iterable[str]) -> OwnerIndex:
 
     Raises MalformedLine and DuplicatePid.
     """
-    merged: dict[tuple[str, float], dict[int, int]] = {}
     known: dict[int, int] = {}  # one int object per distinct pid across snapshots
-    for line_no, obj in iter_records(lines):
-        node = _field_str(obj, "node", line_no)
-        ts = canonical_ts(_field_num(obj, "ts", line_no))
-        raw_map = obj.get("map")
-        if not isinstance(raw_map, list):
-            raise MalformedLine(line_no, "missing or invalid 'map'")
-        assignments = merged.setdefault((node, ts), {})
+
+    def pairs(raw_map: list, line_no: int):
         for pair in raw_map:
             if (
                 not isinstance(pair, list)
@@ -100,9 +105,18 @@ def read_pidmap(lines: Iterable[str]) -> OwnerIndex:
                 raise MalformedLine(line_no, f"invalid pid {pid}")
             if job_id < 1:
                 raise MalformedLine(line_no, f"invalid job id {job_id} (0 is reserved)")
-            if assignments.setdefault(known.setdefault(pid, pid), job_id) != job_id:
-                raise DuplicatePid(pid, ts, line_no)
-    return _step_index(merged)
+            yield known.setdefault(pid, pid), job_id
+
+    def snapshots():
+        for line_no, obj in iter_records(lines):
+            node = _field_str(obj, "node", line_no)
+            ts = canonical_ts(_field_num(obj, "ts", line_no))
+            raw_map = obj.get("map")
+            if not isinstance(raw_map, list):
+                raise MalformedLine(line_no, "missing or invalid 'map'")
+            yield node, ts, pairs(raw_map, line_no), line_no
+
+    return _step_index(snapshots())
 
 
 def check_owners(index: OwnerIndex, jobs: Sequence[JobRecord]) -> dict[int, JobRecord]:
@@ -198,19 +212,14 @@ def build_timelines(
         DuplicatePid: conflicting assignments merged at the same (node, ts).
         UnknownJob, MultiNodeJob: as check_owners.
     """
-    merged: dict[tuple[str, float], dict[int, int]] = {}
-    for snap in snapshots:
-        assignments = merged.setdefault((snap.node_id, snap.ts), {})
-        for pid, job_id in snap.assignments:
-            if assignments.setdefault(pid, job_id) != job_id:
-                raise DuplicatePid(pid, snap.ts)
-    index = _step_index(merged)
+    index = _step_index((s.node_id, s.ts, s.assignments, 0) for s in snapshots)
     jobs_by_id = check_owners(index, jobs)
 
     observed: dict[int, dict[float, set[int]]] = {}
-    for (_, ts), assignments in merged.items():
-        for pid, job_id in assignments.items():
-            observed.setdefault(job_id, {}).setdefault(ts, set()).add(pid)
+    for ts_list, owners_list in index.values():
+        for ts, owners in zip(ts_list, owners_list):
+            for pid, job_id in owners.items():
+                observed.setdefault(job_id, {}).setdefault(ts, set()).add(pid)
 
     timelines: dict[int, PidTimeline] = {}
     for job_id, job in jobs_by_id.items():
@@ -222,15 +231,15 @@ def build_timelines(
 
 
 def ownership_index(timelines: Mapping[int, PidTimeline]) -> OwnerIndex:
-    """Fold timelines back into the per-node step index."""
-    merged: dict[tuple[str, float], dict[int, int]] = {}
-    for job_id in sorted(timelines):
-        tl = timelines[job_id]
-        for ts, pids in tl.entries:
-            owners = merged.setdefault((tl.node_id, ts), {})
-            for pid in pids:
-                owners[pid] = job_id
-    return _step_index(merged)
+    """Fold timelines back into the per-node step index.
+
+    Raises DuplicatePid when two timelines hold one pid on a node at one ts.
+    """
+    return _step_index(
+        (timelines[job_id].node_id, ts, ((pid, job_id) for pid in sorted(pids)), 0)
+        for job_id in sorted(timelines)
+        for ts, pids in timelines[job_id].entries
+    )
 
 
 def pid_owner(

@@ -477,3 +477,12 @@ class TestSliceSerialization:
         for bad in cases:
             with pytest.raises(MalformedLine):
                 parse_slices([bad])
+
+    @pytest.mark.parametrize("alias", ["07", "+7", " 7", "\uff17"])
+    def test_non_canonical_job_key_is_rejected_at_its_line(self, alias):
+        # read as job 7, the alias would replace the 100 W entry and report 10 J, not 1,010 J, over 10 s
+        line = '{"node":"n1","t0":0.0,"t1":10.0,"jobs":{"7":{"cpu_w":100.0,"gpu_w":0.0},"%s":{"cpu_w":1.0,"gpu_w":0.0}},"unattr_cpu_w":0.0,"unattr_gpu_w":0.0}'
+        good = serialize_slices([make_slice(jobs={7: JobPower(1.0, 2.0)})]).strip()
+        with pytest.raises(MalformedLine) as exc:
+            parse_slices([good, line % alias])
+        assert str(exc.value) == f"line 2: invalid job key {alias!r}"

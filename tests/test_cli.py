@@ -455,6 +455,13 @@ class TestGpuHist:
         assert code == 2
         assert "--metric" in err
 
+    @pytest.mark.parametrize("keys", [("1", "01"), ("01", "1")])
+    def test_non_canonical_gpu_key_is_rejected(self, gpu_fixture, tmp_path, keys):
+        # "1" and "01" would both name gpu 1, and the later one would set its capacity
+        caps = write_lines(tmp_path / "caps.json", ['{"n1": {"0": 16000.0, "%s": 4000.0, "%s": 16000.0}}' % keys])
+        code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", caps)
+        assert (code, out, err) == (1, "", f"error: WattscopeError: {caps}: invalid gpu index '01'\n")
+
     def test_malformed_capacities(self, gpu_fixture, tmp_path):
         bad = write_lines(tmp_path / "badcaps.json", [json.dumps({"n1": {"x": 16000.0}})])
         code, out, err = run_cli(
@@ -544,6 +551,16 @@ class TestUsageErrorMessages:
         else:
             monkeypatch.setenv("WATTSCOPE_" + flag[2:].upper().replace("-", "_"), value)
         assert run_cli(*argv) == (2, "", f"usage error: {flag} must be {expected}, got {value!r}\n")
+
+    def test_bad_values_are_reported_in_argv_order_then_env(self, fixture, monkeypatch):
+        argv = complete_argv(fixture, "report gpu-hist")
+        monkeypatch.setenv("WATTSCOPE_COLUMN", "joules")
+        code, _, err = run_cli(*argv, "--metric", "temp", "--bins", "0", "--format", "xml")
+        assert (code, err) == (2, "usage error: --metric must be sm or mem, got 'temp'\n")
+        code, _, err = run_cli(*argv, "--bins", "0", "--format", "xml")
+        assert (code, err) == (2, "usage error: --bins must be a positive integer, got '0'\n")
+        code, _, err = run_cli(*argv)
+        assert (code, err) == (2, "usage error: --column must be one of ext/gpu/cpu, got 'joules'\n")
 
     @pytest.mark.parametrize("command, flag, value, expected", BAD_OPTIONS)
     def test_flag_overrides_a_bad_env_value(self, fixture, monkeypatch, command, flag, value, expected):

@@ -9,6 +9,7 @@ from wattscope import (
     MalformedLine,
     MultiNodeJob,
     PidMapSnapshot,
+    PidTimeline,
     TraceError,
     UnknownJob,
     build_timelines,
@@ -241,6 +242,15 @@ class TestPidOwner:
             pid = rng.choice(pids)
             t = rng.uniform(-5.0, span_hi)
             assert pid_owner(timelines, node, pid, t) == owner_oracle(snaps, node, pid, t)
+
+    def test_two_timelines_holding_one_pid_are_rejected(self):
+        timelines = {
+            7: PidTimeline(7, "n1", ((10.0, frozenset({5})),)),
+            8: PidTimeline(8, "n1", ((10.0, frozenset({5, 6})),)),
+        }
+        with pytest.raises(DuplicatePid) as exc:
+            pid_owner(timelines, "n1", 6, 10.0)
+        assert (exc.value.pid, exc.value.ts) == (5, 10.0)
 
     def test_consistent_with_build_timelines(self):
         rng = random.Random(21)
