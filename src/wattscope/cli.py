@@ -4,11 +4,11 @@ Subcommands: validate, attribute, calibrate, report (status | user |
 gpu-hist).  Every flag falls back to a WATTSCOPE_* environment variable
 (e.g. --power -> WATTSCOPE_POWER).  Exit codes: 0 success, 1 input
 validation failure, 2 usage error; bad option values are reported in
-argv order, then those from the environment.  Results go to stdout and are written
-only after the whole command has succeeded, so stdout is empty on
-failure; diagnostics (with line numbers) go to stderr.  Identical argv
-and input files produce byte-identical stdout.  --threads is accepted and
-validated but has no effect.
+argv order, then those from the environment.  Results go to stdout and
+are written only after the whole command has succeeded, so stdout is
+empty on failure; diagnostics (with line numbers) go to stderr.
+Identical argv and input files produce byte-identical stdout.
+--threads is accepted and validated but has no effect.
 """
 
 from __future__ import annotations
