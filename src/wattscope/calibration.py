@@ -12,11 +12,18 @@ single percentage can hide bias, also as the relative error of total
 energy.  An affine variant (k * s + b) exists behind a flag for
 experimentation; the default stays scale-only, leaving any constant
 baseline visible in the error figures rather than hidden in an intercept.
+
+The scale-only fit needs no numpy: its sums are math.fsum, exactly
+rounded and independent of order, so k does not depend on the machine's
+BLAS.  Only the affine fit loads numpy, for its least-squares solve.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import fsum, inf
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .attribution import AttributionSlice, JobPower
@@ -50,42 +57,46 @@ def fit_scale(
 
     Raises:
         DegenerateInput: fewer than 2 points, software identically zero,
-            or the fitted scale is not positive.
+            the fitted scale is not positive, or a sum leaves the float range.
         ValueError: length mismatch or negative readings.
     """
-    import numpy as np  # here and in fit_nodes only, so applying a model never loads it
-
-    s = np.asarray(software_w, dtype=float)
-    e = np.asarray(external_w, dtype=float)
-    if s.shape != e.shape or s.ndim != 1:
+    s = [float(x) for x in software_w]
+    e = [float(x) for x in external_w]
+    if len(s) != len(e):
         raise ValueError("software and external series must have equal length")
-    if np.any(s < 0) or np.any(e < 0):
+    if any(x < 0 for x in s) or any(x < 0 for x in e):
         raise ValueError("power readings must be non-negative")
     n = len(s)
     if n < 2:
         raise DegenerateInput("need at least 2 aligned samples")
-    if not np.any(s > 0):
+    if not any(x > 0 for x in s):
         raise DegenerateInput("software power is identically zero")
 
-    if affine:
-        design = np.column_stack([s, np.ones(n)])
-        (k, b), *_ = np.linalg.lstsq(design, e, rcond=None)
-        k = float(k)
-        b = float(b)
-    else:
-        k = float(np.dot(s, e) / np.dot(s, s))
-        b = 0.0
-    if k <= 0:
-        raise DegenerateInput("fitted scale is not positive")
+    try:  # fsum raises OverflowError past the float range; s * s can underflow to 0
+        if affine:
+            import numpy as np  # the only numpy use in this module
 
-    predicted = k * s + b
-    positive = e > 0
-    if np.any(positive):
-        mape = float(100.0 * np.mean(np.abs(predicted[positive] - e[positive]) / e[positive]))
-        energy_err = float(100.0 * abs(predicted.sum() - e.sum()) / e.sum())
-    else:
-        mape = 0.0
-        energy_err = None
+            design = np.column_stack([s, np.ones(n)])
+            (k, b), *_ = np.linalg.lstsq(design, np.array(e), rcond=None)
+            k = float(k)
+            b = float(b)
+        else:
+            k = fsum(map(mul, s, e)) / fsum(x * x for x in s)
+            b = 0.0
+        if not 0 < k < inf:
+            raise DegenerateInput("fitted scale is not positive")
+
+        predicted = [k * x + b for x in s]
+        errors = [abs(p - y) / y for p, y in zip(predicted, e) if y > 0]
+        if errors:
+            mape = 100.0 * (fsum(errors) / len(errors))
+            total = fsum(e)
+            energy_err = 100.0 * abs(fsum(predicted) - total) / total
+        else:
+            mape = 0.0
+            energy_err = None
+    except (OverflowError, ZeroDivisionError):
+        raise DegenerateInput("power readings too large or too small to fit") from None
     return CalibrationModel(node_id, k, mape, n, b, energy_err)
 
 
@@ -159,13 +170,11 @@ def fit_nodes(
     Raises:
         DegenerateInput: no node yields a usable fit.
     """
-    import numpy as np
-
     software, external = (p if isinstance(p, PowerColumns) else PowerColumns.of(p) for p in (software, external))
     soft: dict[str, list] = {}  # node -> (ts, w) per software series, in tag order
     for key, source, ts, w in sorted(zip(software.keys, software.sources, software.ts, software.w)):
         if source.kind in (CPU, GPU):
-            soft.setdefault(key[0], []).append((np.frombuffer(ts), np.frombuffer(w)))
+            soft.setdefault(key[0], []).append((ts, w))
     ext = {node: (ts, w) for (node, tag), ts, w in zip(external.keys, external.ts, external.w) if tag == EXT}
 
     models: list[CalibrationModel] = []
@@ -173,22 +182,40 @@ def fit_nodes(
         sources = soft.get(node)
         if not sources:
             continue
-        ext_ts, ext_w = np.frombuffer(ext[node][0]), np.frombuffer(ext[node][1])
+        ext_ts, ext_w = ext[node]
         lo, hi = max(ts[0] for ts, _ in sources), min(ts[-1] for ts, _ in sources)
-        keep = (ext_ts >= lo) & (ext_ts <= hi)
-        grid = ext_ts[keep]
+        first, stop = bisect_left(ext_ts, lo), bisect_right(ext_ts, hi)
+        grid = ext_ts[first:stop]
         if len(grid) < 2:
             continue
-        total = np.zeros(len(grid))
+        total = [0.0] * len(grid)
         for ts, watts in sources:
-            total += np.interp(grid, ts, watts)
+            total = list(map(add, total, _interp(grid, ts, watts)))
         try:
-            models.append(fit_scale(total, ext_w[keep], node, affine))
+            models.append(fit_scale(total, ext_w[first:stop], node, affine))
         except DegenerateInput:
             continue
     if not models:
         raise DegenerateInput("no node has enough overlapping software and external readings")
     return models
+
+
+def _interp(grid: Sequence[float], ts: Sequence[float], w: Sequence[float]) -> list[float]:
+    """np.interp(grid, ts, w), bit for bit, for a grid within [ts[0], ts[-1]] and finite w.
+
+    As in np.interp, a grid point on a sample (the last one included) takes
+    that sample's value; between samples, the segment's slope is applied
+    from its left end.
+    """
+    last = len(ts) - 1
+    out = []
+    for x in grid:
+        j = bisect_right(ts, x) - 1
+        if j == last or ts[j] == x:
+            out.append(w[j])
+        else:
+            out.append((w[j + 1] - w[j]) / (ts[j + 1] - ts[j]) * (x - ts[j]) + w[j])
+    return out
 
 
 def parse_models(lines: Iterable[str]) -> list[CalibrationModel]:

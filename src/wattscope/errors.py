@@ -53,12 +53,21 @@ class OutOfRangeUtilization(TraceError):
 
 
 class DuplicatePid(TraceError):
-    """A pid was assigned to more than one job within a single snapshot."""
+    """A pid was assigned to more than one job within a single snapshot.
 
-    def __init__(self, pid: int, ts: float, line_no: int = 0):
-        super().__init__(line_no, f"pid {pid} mapped to more than one job at ts {ts}")
+    Read from a file, it names the line.  Merged from built objects, which
+    have no line, it names the node instead and line_no is None.
+    """
+
+    def __init__(self, pid: int, ts: float, line_no: int | None = None, node_id: str = ""):
+        if line_no is None:
+            WattscopeError.__init__(self, f"pid {pid} mapped to more than one job on node {node_id} at ts {ts}")
+            self.line_no = None
+        else:
+            super().__init__(line_no, f"pid {pid} mapped to more than one job at ts {ts}")
         self.pid = pid
         self.ts = ts
+        self.node_id = node_id
 
 
 class EmptySeries(WattscopeError):

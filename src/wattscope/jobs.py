@@ -65,8 +65,10 @@ class PidTimeline:
     entries: tuple[tuple[float, frozenset[int]], ...]
 
 
-def _step_index(snapshots: Iterable[tuple[str, float, Iterable[tuple[int, int]], int]]) -> OwnerIndex:
+def _step_index(snapshots: Iterable[tuple[str, float, Iterable[tuple[int, int]], int | None]]) -> OwnerIndex:
     """Merge (node, ts, (pid, job_id) pairs, line_no) snapshots that share (node, ts) into the step index.
+
+    line_no is None for snapshots of built objects, which have no input line.
 
     Pairs are read in order, so an error a pair iterator raises comes in
     file order with the DuplicatePid raised here for a pid given two jobs.
@@ -76,7 +78,7 @@ def _step_index(snapshots: Iterable[tuple[str, float, Iterable[tuple[int, int]],
         assignments = merged.setdefault((node, ts), {})
         for pid, job_id in pairs:
             if assignments.setdefault(pid, job_id) != job_id:
-                raise DuplicatePid(pid, ts, line_no)
+                raise DuplicatePid(pid, ts, line_no, node)
     index: OwnerIndex = {}
     for node, ts in sorted(merged):
         ts_list, owners = index.setdefault(node, ([], []))
@@ -94,11 +96,8 @@ def read_pidmap(lines: Iterable[str]) -> OwnerIndex:
 
     def pairs(raw_map: list, line_no: int):
         for pair in raw_map:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
-            ):
+            # JSON gives exact types, so this excludes bools and floats
+            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
                 raise MalformedLine(line_no, "map entries must be [pid, job_id] integer pairs")
             pid, job_id = pair
             if pid < 1:
@@ -212,7 +211,7 @@ def build_timelines(
         DuplicatePid: conflicting assignments merged at the same (node, ts).
         UnknownJob, MultiNodeJob: as check_owners.
     """
-    index = _step_index((s.node_id, s.ts, s.assignments, 0) for s in snapshots)
+    index = _step_index((s.node_id, s.ts, s.assignments, None) for s in snapshots)
     jobs_by_id = check_owners(index, jobs)
 
     observed: dict[int, dict[float, set[int]]] = {}
@@ -236,7 +235,7 @@ def ownership_index(timelines: Mapping[int, PidTimeline]) -> OwnerIndex:
     Raises DuplicatePid when two timelines hold one pid on a node at one ts.
     """
     return _step_index(
-        (timelines[job_id].node_id, ts, ((pid, job_id) for pid in sorted(pids)), 0)
+        (timelines[job_id].node_id, ts, ((pid, job_id) for pid in sorted(pids)), None)
         for job_id in sorted(timelines)
         for ts, pids in timelines[job_id].entries
     )
