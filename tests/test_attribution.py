@@ -1,8 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wattscope import (
     AttributionSlice,
@@ -62,6 +63,19 @@ nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 delta_maps = st.dictionaries(st.integers(min_value=0, max_value=20), nonneg, min_size=1, max_size=8)
 
 
+def assert_scaled_by_power_of_two(got, v, factor):
+    """got == v * factor bit for bit while v and v * factor are normal floats.
+
+    A subnormal share is rounded to a multiple of the smallest subnormal, and
+    scaling v multiplies that rounding by factor, so there they may differ by
+    max(factor, 1) such steps.
+    """
+    if v == 0.0 or min(abs(v), abs(v * factor)) > sys.float_info.min:
+        assert got == v * factor
+    else:
+        assert abs(got - v * factor) <= max(factor, 1.0) * math.ulp(0.0)
+
+
 class TestCpuShares:
     def test_proportional_split(self):
         shares, unattr = cpu_shares({7: 3.0, 8: 1.0}, 200.0)
@@ -110,11 +124,14 @@ class TestCpuShares:
         assert cpu_shares(scaled, power) == cpu_shares(deltas, power)
 
     @given(delta_maps, st.floats(min_value=1e-3, max_value=1e6, allow_nan=False), st.sampled_from([0.5, 2.0, 1024.0]))
+    @example({0: 73.25, 1: 2.2250738585072014e-308}, 0.25, 0.5)  # a subnormal share
     def test_linearity_in_power(self, deltas, power, factor):
         shares, unattr = cpu_shares(deltas, power)
         scaled_shares, scaled_unattr = cpu_shares(deltas, power * factor)
-        assert scaled_shares == {j: v * factor for j, v in shares.items()}
-        assert scaled_unattr == unattr * factor
+        assert set(scaled_shares) == set(shares)
+        for j, v in shares.items():
+            assert_scaled_by_power_of_two(scaled_shares[j], v, factor)
+        assert_scaled_by_power_of_two(scaled_unattr, unattr, factor)
 
     @given(delta_maps, st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_share_never_exceeds_power(self, deltas, power):

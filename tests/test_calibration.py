@@ -1,6 +1,8 @@
 import math
 import random
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from wattscope import (
     parse_models,
     serialize_models,
 )
+from wattscope.calibration import _interp
 from test_attribution import make_slice
 from helpers import grid_fit_oracle, power_sample
 
@@ -50,6 +53,10 @@ class TestFitScale:
             fit_scale([0.0, 0.0], [100.0, 100.0])
         with pytest.raises(DegenerateInput):
             fit_scale([100.0, 100.0], [0.0, 0.0])  # fitted scale would be zero
+        with pytest.raises(DegenerateInput):
+            fit_scale([1e154, 1e154], [1e154, 1e154])  # sum of s * e overflows
+        with pytest.raises(DegenerateInput):
+            fit_scale([1e-170, 1e-170], [1.0, 1.0])  # every s * s underflows to 0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -67,6 +74,16 @@ class TestFitScale:
         m = fit_scale(s, [c * x for x in s])
         assert math.isclose(m.k, c, rel_tol=1e-12)
         assert m.mape_pct < 1e-9
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)), min_size=2, max_size=40), st.randoms())
+    def test_fit_does_not_depend_on_sample_order(self, pairs, rng):
+        # the sums are exactly rounded, so any order gives the same bits
+        try:
+            want = fit_scale(*zip(*pairs))
+        except DegenerateInput:
+            return
+        rng.shuffle(pairs)
+        assert fit_scale(*zip(*pairs)) == want
 
     def test_noisy_recovery_matches_grid_search(self):
         rng = random.Random(61)
@@ -140,6 +157,38 @@ class TestApplyCalibration:
             soft += out.unattributed_cpu_w + out.unattributed_gpu_w
             ext = sum(p.ext_w for p in out.per_job.values()) + out.unattributed_ext_w
             assert math.isclose(ext, model.k * soft + model.intercept_w, rel_tol=1e-12)
+
+
+@st.composite
+def series_on_a_grid(draw):
+    """Series on the canonical ms grid, and a grid within the span they all cover.
+
+    The grid holds meter instants and every sample instant in that span, so
+    it hits samples exactly, the first and last included.
+    """
+    series = []
+    for _ in range(draw(st.integers(1, 4))):
+        ms = sorted(draw(st.sets(st.integers(0, 20_000), min_size=1, max_size=40)))
+        watts = draw(st.lists(st.floats(0.0, 1e4), min_size=len(ms), max_size=len(ms)))
+        series.append((array("d", [t / 1000.0 for t in ms]), array("d", watts)))
+    lo, hi = max(ts[0] for ts, _ in series), min(ts[-1] for ts, _ in series)
+    meter = {t / 1000.0 for t in draw(st.lists(st.integers(0, 20_000), max_size=60))}
+    samples = {t for ts, _ in series for t in ts}
+    return series, array("d", sorted(t for t in meter | samples if lo <= t <= hi))
+
+
+class TestInterp:
+    @given(series_on_a_grid())
+    def test_matches_np_interp_bit_for_bit(self, drawn):
+        series, grid = drawn
+        total, np_total = [0.0] * len(grid), np.zeros(len(grid))
+        for ts, w in series:
+            got = _interp(grid, ts, w)
+            want = np.interp(np.frombuffer(grid), np.frombuffer(ts), np.frombuffer(w))
+            assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]
+            total = [a + b for a, b in zip(total, got)]
+            np_total += want
+        assert [x.hex() for x in total] == [x.hex() for x in np_total.tolist()]
 
 
 class TestFitNodes:

@@ -2,9 +2,10 @@
 
 Every CLI command is a fresh interpreter, so an import that a command never
 uses is paid on each call.  numpy is loaded only by the commands that
-compute with arrays (attribute, calibrate, report on raw traces), and
-concurrent.futures only by attribute with --threads > 1.  Each check runs
-in a subprocess so that modules loaded by the test session do not count.
+compute with arrays (attribute, report on raw traces, calibrate --affine);
+calibrate's scale-only fit sums with math.fsum instead.  No command loads
+concurrent.futures.  Each check runs in a subprocess so that modules
+loaded by the test session do not count.
 """
 
 import io
@@ -64,9 +65,16 @@ def test_light_commands_never_load_numpy_or_the_thread_pool(tmp_path):
         ("report_user", ["report", "user", "--jobs", f["jobs"], "--slices", str(slices)]),
         ("gpu_hist", ["report", "gpu-hist", "--proc", f["proc"], "--per-job-mean",
                       "--pidmap", f["pidmap"], "--jobs", f["jobs"]]),
+        ("calibrate", ["calibrate", "--power", f["power"], "--external", f["external"],
+                       "--model", str(tmp_path / "model.out")]),
         ("attribute", ["attribute", *raw_flags(f)]),
     ])
-    for name in ("import", "validate", "report_slices", "report_user", "gpu_hist"):
+    for name in ("import", "validate", "report_slices", "report_user", "gpu_hist", "calibrate"):
         assert steps[name] == {"code": 0, "numpy": False, "concurrent.futures": False}, name
     assert steps["attribute"] == {"code": 0, "numpy": True, "concurrent.futures": False}
 
+
+def test_only_the_affine_fit_loads_numpy(tmp_path):
+    f = write_status_split_fixture(tmp_path)
+    steps = probe([("calibrate_affine", ["calibrate", "--power", f["power"], "--external", f["external"], "--affine"])])
+    assert steps["calibrate_affine"] == {"code": 0, "numpy": True, "concurrent.futures": False}

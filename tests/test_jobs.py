@@ -19,7 +19,7 @@ from wattscope import (
     serialize_jobs,
     serialize_pidmap,
 )
-from wattscope.jobs import check_owners, owner_at, read_pidmap
+from wattscope.jobs import check_owners, owner_at, ownership_index, read_pidmap
 from helpers import job_pids_oracle, job_record, owner_oracle, pidmap_snap
 
 
@@ -69,10 +69,9 @@ class TestParsePidmap:
             parse_pidmap([pidmap_line(mapping=[[42, 0]])])
 
     def test_bad_map_entries(self):
-        with pytest.raises(MalformedLine):
-            parse_pidmap([json.dumps({"node": "n1", "ts": 1.0, "map": [[1]]})])
-        with pytest.raises(MalformedLine):
-            parse_pidmap([json.dumps({"node": "n1", "ts": 1.0, "map": [[1.5, 7]]})])
+        for entry in ([1], [1.5, 7], [42, 7.0], [True, 7], [42, False], [42, 7, 1], "42", {"42": 7}, None):
+            with pytest.raises(MalformedLine, match=r"line 1: map entries must be \[pid, job_id\] integer pairs"):
+                parse_pidmap([json.dumps({"node": "n1", "ts": 1.0, "map": [[41, 7], entry]})])
         with pytest.raises(MalformedLine):
             parse_pidmap([json.dumps({"node": "n1", "ts": 1.0, "map": {"42": 7}})])
 
@@ -323,6 +322,25 @@ class TestReadPidmap:
         with pytest.raises(DuplicatePid) as exc:
             read_pidmap(lines)
         assert (exc.value.line_no, exc.value.pid, exc.value.ts) == (3, 41, 10.0)
+        assert str(exc.value) == "line 3: pid 41 mapped to more than one job at ts 10.0"
+
+    def test_duplicate_pid_from_built_objects_names_the_node(self):
+        # built snapshots and timelines have no input line to name
+        message = "pid 5 mapped to more than one job on node n1 at ts 10.0"
+        snaps = [pidmap_snap("n1", 10.0, {5: 7}), pidmap_snap("n1", 10.0, {5: 8})]
+        timelines = {
+            7: PidTimeline(7, "n1", ((10.0, frozenset({5})),)),
+            8: PidTimeline(8, "n1", ((10.0, frozenset({5})),)),
+        }
+        for build in (
+            lambda: build_timelines(snaps, [job_record(7), job_record(8)]),
+            lambda: ownership_index(timelines),
+            lambda: pid_owner(timelines, "n1", 5, 10.0),
+        ):
+            with pytest.raises(DuplicatePid) as exc:
+                build()
+            assert str(exc.value) == message
+            assert (exc.value.line_no, exc.value.node_id) == (None, "n1")
 
     def test_errors_come_in_pair_order_within_a_line(self):
         with pytest.raises(DuplicatePid):

@@ -7,7 +7,8 @@ conserve the power an independent interpolation finds at its midpoint.
 
 The metamorphic tests change the input in a way whose effect on the
 output is known exactly: reordering lines across series and nodes changes
-nothing, and doubling every watt reading doubles every watt field.
+nothing, doubling every watt reading doubles every watt field, and
+splitting the proc trace at a snapshot instant splits the slices.
 
 A float reference, one slice at a time, pins the order of every sum
 (pids ascending, then job ids, then GPU indices), so that the output is
@@ -22,12 +23,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wattscope import (
     TraceBundle,
     attribute,
     build_timelines,
+    integrate_energy,
     parse_slices,
     serialize_jobs,
     serialize_pidmap,
@@ -228,6 +230,38 @@ class TestMetamorphic:
             assert set(b["jobs"]) == set(a["jobs"])
             for job, entry in a["jobs"].items():
                 assert b["jobs"][job] == {"cpu_w": 2.0 * entry["cpu_w"], "gpu_w": 2.0 * entry["gpu_w"]}
+
+    @settings(max_examples=25)
+    @given(scenarios, st.randoms())
+    def test_splitting_the_proc_trace_at_a_snapshot_splits_the_slices(self, params, rng):
+        # each node is cut at one of its own snapshot instants, which both parts keep;
+        # power, pidmap and jobs stay whole, so every slice lies wholly in one part
+        sc = make_scenario(params)
+        assume(sc["procs"])
+        ticks: dict = {}
+        for p in sc["procs"]:
+            ticks.setdefault(p.node_id, set()).add(p.ts)
+        cut = {node: rng.choice(sorted(ts)) for node, ts in ticks.items()}
+        before = [p for p in sc["procs"] if p.ts <= cut[p.node_id]]
+        after = [p for p in sc["procs"] if p.ts >= cut[p.node_id]]
+        with tempfile.TemporaryDirectory() as tmp:
+            whole = cli_attribute(write_scenario(sc, Path(tmp)))
+        parts = []
+        for procs in (before, after):
+            with tempfile.TemporaryDirectory() as tmp:
+                parts.append(cli_attribute(write_scenario(sc, Path(tmp), proc_text=serialize_proc_trace(procs))))
+        assert sorted(parts[0].splitlines() + parts[1].splitlines()) == sorted(whole.splitlines())
+
+        want = integrate_energy(parse_slices(whole.splitlines()))
+        got: dict = {}
+        for text in parts:
+            for job_id, e in integrate_energy(parse_slices(text.splitlines())).items():
+                cpu, gpu = got.get(job_id, (0.0, 0.0))
+                got[job_id] = (cpu + e.cpu_kwh, gpu + e.gpu_kwh)
+        assert set(got) == set(want)
+        for job_id, e in want.items():
+            assert math.isclose(got[job_id][0], e.cpu_kwh, rel_tol=REL, abs_tol=1e-15)
+            assert math.isclose(got[job_id][1], e.gpu_kwh, rel_tol=REL, abs_tol=1e-15)
 
 
 def ordered_float_attribute(power, procs, pidmap):
