@@ -17,9 +17,10 @@ Slices serialize to JSON lines:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from .errors import MalformedLine, NegativeDelta, OverlappingSlices
+from .errors import MalformedLine, NegativeDelta, OverlappingSlices, WattscopeError
 from .jobs import UNATTRIBUTED_JOB, OwnerIndex, PidTimeline, ownership_index
 from .traces import (
     CPU,
@@ -31,7 +32,6 @@ from .traces import (
     _field_num,
     _field_str,
     iter_records,
-    lerp_covered,
 )
 
 if TYPE_CHECKING:
@@ -208,10 +208,14 @@ def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns
     def per_job(key: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return np.bincount(key, weights, minlength=n * n_jobs).reshape(n, n_jobs)
 
+    def lerp_covered(s_ts: np.ndarray, s_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A ts-sorted series linearly interpolated at the midpoints, and which midpoints its span covers."""
+        return np.interp(mids, s_ts, s_w), (mids >= s_ts[0]) & (mids <= s_ts[-1])
+
     cpu_power = np.zeros(n)
     for kind, _, s_ts, s_w in series:
         if kind == CPU:
-            values, covered = lerp_covered(s_ts, s_w, mids)
+            values, covered = lerp_covered(s_ts, s_w)
             cpu_power += np.where(covered, values, 0.0)
 
     # a delta needs both endpoints; processes that appear or vanish
@@ -235,7 +239,7 @@ def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns
     sm, mem = (np.where(np.isnan(rows[k]), 0.0, rows[k]) for k in ("sm", "mem"))
     for kind, index, s_ts, s_w in series:
         if kind == GPU:
-            values, covered = lerp_covered(s_ts, s_w, mids)
+            values, covered = lerp_covered(s_ts, s_w)
             on = (tick < n) & (rows["gpu"] == (procs.gpus.index(index) if index in procs.gpus else -2))
             key = tick[on] * n_jobs + col[on]
             present = per_job(key) > 0
@@ -332,6 +336,7 @@ def integrate_energy(
 
     Raises:
         OverlappingSlices: two slices on one node overlap in time.
+        WattscopeError: some job's energy leaves the float range.
         ValueError: max_gap_s is not positive.
     """
     is_gap = _gap_rule(max_gap_s)
@@ -367,6 +372,10 @@ def integrate_energy(
             b[2] += s.unattributed_ext_w * dt
             b[3] = True
 
+    for job_id, vals in sorted(acc.items()):
+        if not all(map(isfinite, vals[:3])):
+            who = "unattributed power" if job_id == UNATTRIBUTED_JOB else f"job {job_id}"
+            raise WattscopeError(f"energy of {who} is beyond the float range")
     return {
         job_id: JobEnergy(
             job_id,

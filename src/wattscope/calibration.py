@@ -9,26 +9,25 @@ squares through the origin:
 
 Fit quality is reported as MAPE over samples with e_i > 0 and, since a
 single percentage can hide bias, also as the relative error of total
-energy.  An affine variant (k * s + b) exists behind a flag for
-experimentation; the default stays scale-only, leaving any constant
-baseline visible in the error figures rather than hidden in an intercept.
+energy.  The model has no intercept: a constant chassis baseline stays
+visible in those error figures instead of being hidden in the model, and
+a model file that carries a nonzero intercept_w is rejected.
 
-The scale-only fit needs no numpy: its sums are math.fsum, exactly
-rounded and independent of order, so k does not depend on the machine's
-BLAS.  Only the affine fit loads numpy, for its least-squares solve.
+The sums are math.fsum, exactly rounded and independent of order, so k
+does not depend on the machine; this module needs no numpy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from math import fsum, inf
+from dataclasses import dataclass, field
+from math import fsum, isfinite
 from operator import add, mul
 from typing import Iterable, Sequence
 
 from .attribution import AttributionSlice, JobPower
 from .errors import DegenerateInput, MalformedLine, NodeMismatch
-from .traces import CPU, GPU, EXT, PowerColumns, PowerSample, _dumps, _field_num, _field_str, iter_records
+from .traces import CPU, GPU, EXT, PowerColumns, PowerSample, _dumps, _field_int, _field_num, _field_str, _interp, iter_records
 
 
 @dataclass(frozen=True)
@@ -37,23 +36,22 @@ class CalibrationModel:
     k: float  # > 0
     mape_pct: float
     n_points: int  # >= 2
-    intercept_w: float = 0.0  # nonzero only for affine fits
-    energy_err_pct: float | None = None  # |total predicted - total external| / total external
+    # |total predicted - total external| / total external; keyword-only, so
+    # that a fifth positional argument is an error rather than this field
+    energy_err_pct: float | None = field(default=None, kw_only=True)
 
 
 def fit_scale(
     software_w: Sequence[float],
     external_w: Sequence[float],
     node_id: str = "",
-    affine: bool = False,
 ) -> CalibrationModel:
-    """Fit external power as a scaled (optionally shifted) software reading.
+    """Fit external power as a scaled software reading.
 
     Args:
         software_w: summed software power per aligned sample, all >= 0.
         external_w: wattmeter power at the same instants, all >= 0.
         node_id: node the model belongs to.
-        affine: also fit an intercept (experimentation only).
 
     Raises:
         DegenerateInput: fewer than 2 points, software identically zero,
@@ -72,21 +70,14 @@ def fit_scale(
     if not any(x > 0 for x in s):
         raise DegenerateInput("software power is identically zero")
 
-    try:  # fsum raises OverflowError past the float range; s * s can underflow to 0
-        if affine:
-            import numpy as np  # the only numpy use in this module
-
-            design = np.column_stack([s, np.ones(n)])
-            (k, b), *_ = np.linalg.lstsq(design, np.array(e), rcond=None)
-            k = float(k)
-            b = float(b)
-        else:
-            k = fsum(map(mul, s, e)) / fsum(x * x for x in s)
-            b = 0.0
-        if not 0 < k < inf:
+    try:  # fsum raises OverflowError past the float range; s * s can underflow to 0 or overflow to inf
+        k = fsum(map(mul, s, e)) / fsum(x * x for x in s)
+        if not isfinite(k):  # inf / inf, or a finite sum over an underflowed one
+            raise OverflowError
+        if not k > 0:
             raise DegenerateInput("fitted scale is not positive")
 
-        predicted = [k * x + b for x in s]
+        predicted = [k * x for x in s]
         errors = [abs(p - y) / y for p, y in zip(predicted, e) if y > 0]
         if errors:
             mape = 100.0 * (fsum(errors) / len(errors))
@@ -97,7 +88,7 @@ def fit_scale(
             energy_err = None
     except (OverflowError, ZeroDivisionError):
         raise DegenerateInput("power readings too large or too small to fit") from None
-    return CalibrationModel(node_id, k, mape, n, b, energy_err)
+    return CalibrationModel(node_id, k, mape, n, energy_err_pct=energy_err)
 
 
 def apply_calibration(
@@ -105,9 +96,7 @@ def apply_calibration(
 ) -> list[AttributionSlice]:
     """Project slices into wall-power terms: ext_w = k * (cpu_w + gpu_w).
 
-    An affine model's intercept is chassis baseline no job asked for, so
-    it lands on the unattributed bucket; per-job scaling stays linear and
-    totals remain conserved.
+    Jobs and the unattributed bucket scale alike, so totals stay conserved.
 
     Raises:
         NodeMismatch: a slice belongs to a different node than the model.
@@ -120,9 +109,6 @@ def apply_calibration(
             job_id: JobPower(p.cpu_w, p.gpu_w, ext_w=model.k * (p.cpu_w + p.gpu_w))
             for job_id, p in s.per_job.items()
         }
-        unattr_ext = (
-            model.k * (s.unattributed_cpu_w + s.unattributed_gpu_w) + model.intercept_w
-        )
         out.append(
             AttributionSlice(
                 s.interval,
@@ -130,7 +116,7 @@ def apply_calibration(
                 per_job,
                 s.unattributed_cpu_w,
                 s.unattributed_gpu_w,
-                unattributed_ext_w=unattr_ext,
+                unattributed_ext_w=model.k * (s.unattributed_cpu_w + s.unattributed_gpu_w),
             )
         )
     return out
@@ -143,8 +129,6 @@ def format_model_line(model: CalibrationModel) -> str:
         "mape_pct": model.mape_pct,
         "n": model.n_points,
     }
-    if model.intercept_w:
-        obj["intercept_w"] = model.intercept_w
     if model.energy_err_pct is not None:
         obj["energy_err_pct"] = model.energy_err_pct
     return _dumps(obj)
@@ -157,7 +141,6 @@ def serialize_models(models: Iterable[CalibrationModel]) -> str:
 def fit_nodes(
     software: Sequence[PowerSample] | PowerColumns,
     external: Sequence[PowerSample] | PowerColumns,
-    affine: bool = False,
 ) -> list[CalibrationModel]:
     """Fit one model per node from raw power traces (samples, or read_power_trace columns).
 
@@ -168,7 +151,8 @@ def fit_nodes(
     without enough overlapping samples, are skipped.
 
     Raises:
-        DegenerateInput: no node yields a usable fit.
+        DegenerateInput: no node yields a usable fit; the message gives
+            each metered node's reason.
     """
     software, external = (p if isinstance(p, PowerColumns) else PowerColumns.of(p) for p in (software, external))
     soft: dict[str, list] = {}  # node -> (ts, w) per software series, in tag order
@@ -178,44 +162,29 @@ def fit_nodes(
     ext = {node: (ts, w) for (node, tag), ts, w in zip(external.keys, external.ts, external.w) if tag == EXT}
 
     models: list[CalibrationModel] = []
+    skipped: list[str] = []  # "node: reason"
     for node in sorted(ext):
         sources = soft.get(node)
         if not sources:
+            skipped.append(f"{node}: no cpu or gpu readings")
             continue
         ext_ts, ext_w = ext[node]
         lo, hi = max(ts[0] for ts, _ in sources), min(ts[-1] for ts, _ in sources)
         first, stop = bisect_left(ext_ts, lo), bisect_right(ext_ts, hi)
         grid = ext_ts[first:stop]
         if len(grid) < 2:
+            skipped.append(f"{node}: fewer than 2 meter readings within the span every software series covers")
             continue
         total = [0.0] * len(grid)
         for ts, watts in sources:
             total = list(map(add, total, _interp(grid, ts, watts)))
         try:
-            models.append(fit_scale(total, ext_w[first:stop], node, affine))
-        except DegenerateInput:
-            continue
+            models.append(fit_scale(total, ext_w[first:stop], node))
+        except DegenerateInput as exc:
+            skipped.append(f"{node}: {exc}")
     if not models:
-        raise DegenerateInput("no node has enough overlapping software and external readings")
+        raise DegenerateInput("no node could be fitted: " + ("; ".join(skipped) or "no external readings"))
     return models
-
-
-def _interp(grid: Sequence[float], ts: Sequence[float], w: Sequence[float]) -> list[float]:
-    """np.interp(grid, ts, w), bit for bit, for a grid within [ts[0], ts[-1]] and finite w.
-
-    As in np.interp, a grid point on a sample (the last one included) takes
-    that sample's value; between samples, the segment's slope is applied
-    from its left end.
-    """
-    last = len(ts) - 1
-    out = []
-    for x in grid:
-        j = bisect_right(ts, x) - 1
-        if j == last or ts[j] == x:
-            out.append(w[j])
-        else:
-            out.append((w[j + 1] - w[j]) / (ts[j + 1] - ts[j]) * (x - ts[j]) + w[j])
-    return out
 
 
 def parse_models(lines: Iterable[str]) -> list[CalibrationModel]:
@@ -225,14 +194,13 @@ def parse_models(lines: Iterable[str]) -> list[CalibrationModel]:
         node = _field_str(obj, "node", line_no)
         k = _field_num(obj, "k", line_no)
         mape = _field_num(obj, "mape_pct", line_no)
-        n_raw = obj.get("n")
-        if isinstance(n_raw, bool) or not isinstance(n_raw, int) or n_raw < 2:
-            raise MalformedLine(line_no, "missing or invalid 'n'")
+        n = _field_int(obj, "n", line_no, minimum=2)
         if k <= 0:
             raise MalformedLine(line_no, "scale factor must be positive")
         if mape < 0:
             raise MalformedLine(line_no, "mape_pct must be non-negative")
-        intercept = _field_num(obj, "intercept_w", line_no, required=False) or 0.0
+        if _field_num(obj, "intercept_w", line_no, required=False):
+            raise MalformedLine(line_no, "nonzero 'intercept_w': models are scale-only")
         energy_err = _field_num(obj, "energy_err_pct", line_no, required=False)
-        models.append(CalibrationModel(node, k, mape, n_raw, intercept, energy_err))
+        models.append(CalibrationModel(node, k, mape, n, energy_err_pct=energy_err))
     return models

@@ -92,10 +92,6 @@ def _build_parser() -> _Parser:
         for name in names:
             flag(p, name, metavar="PATH")
 
-    def common_numeric(p: _Parser):
-        flag(p, "max-gap-s", "10", ("a positive number", _positive(float)), metavar="S")
-        flag(p, "threads", "1", ("a positive integer", _positive(int)), metavar="N")
-
     def output_format(p: _Parser):
         flag(p, "format", "text", ("text, csv or json", {k: k for k in ("text", "csv", "json")}.get), metavar="FMT")
 
@@ -104,11 +100,9 @@ def _build_parser() -> _Parser:
 
     a = sub.add_parser("attribute", help="emit attribution slices as JSON lines")
     paths(a, "power", "proc", "pidmap", "jobs")
-    common_numeric(a)
 
     c = sub.add_parser("calibrate", help="fit per-node wattmeter scale factors")
     paths(c, "power", "external", "model")
-    c.add_argument("--affine", action="store_true")
     output_format(c)
 
     r = sub.add_parser("report", help="render energy and utilization reports")
@@ -119,7 +113,9 @@ def _build_parser() -> _Parser:
     flag(r, "metric", "sm", ("sm or mem", _METRICS.get))
     flag(r, "bins", str(analytics.DEFAULT_BINS), ("a positive integer", _positive(int)), metavar="N")
     r.add_argument("--per-job-mean", action="store_true")
-    common_numeric(r)
+    flag(r, "max-gap-s", "10", ("a positive number", _positive(float)), metavar="S")
+    for p in (a, r):
+        flag(p, "threads", "1", ("a positive integer", _positive(int)), metavar="N")
     return parser
 
 
@@ -180,24 +176,20 @@ def _load_slices(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = No
     return attribute_columns(power, procs, _owners(args, jobs))
 
 
-def _apply_models(slices, models: Sequence[CalibrationModel], err: TextIO):
+def _apply_models(slices, path: str):
+    """Calibrate slices with the --model file, which must cover every node they are on."""
     by_node: dict[str, CalibrationModel] = {}
-    for m in models:
+    for m in _parse_file(path, parse_models):
         if m.node_id in by_node:
             raise WattscopeError(f"more than one calibration model for node {m.node_id!r}")
         by_node[m.node_id] = m
     grouped: dict[str, list] = {}
     for s in slices:
         grouped.setdefault(s.node_id, []).append(s)
-    out = []
-    for node in sorted(grouped):
-        model = by_node.get(node)
-        if model is None:
-            err.write(f"note: no calibration model for node {node}; its external energy counts as 0\n")
-            out.extend(grouped[node])
-        else:
-            out.extend(apply_calibration(model, grouped[node]))
-    return out
+    missing = sorted(grouped.keys() - by_node.keys())
+    if missing:  # their ext energy would count as 0 and skew every ext share
+        raise WattscopeError(f"{path}: no calibration model for node(s) {', '.join(map(repr, missing))}")
+    return [s for node in sorted(grouped) for s in apply_calibration(by_node[node], grouped[node])]
 
 
 def _cmd_validate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
@@ -234,7 +226,7 @@ def _cmd_calibrate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     _require(args, ("power", "external"), "calibrate")
     software = _parse_file(args.power, read_power_trace)
     external = _parse_file(args.external, read_power_trace, EXT)
-    models = fit_nodes(software, external, affine=args.affine)
+    models = fit_nodes(software, external)
     if args.model is not None:
         with open(args.model, "w", encoding="utf-8") as fh:
             fh.write(serialize_models(models))
@@ -276,8 +268,7 @@ def _cmd_report(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     jobs = _parse_file(args.jobs, parse_jobs)
     slices = _load_slices(args, jobs)
     if args.model is not None:
-        models = _parse_file(args.model, parse_models)
-        slices = _apply_models(slices, models, err)
+        slices = _apply_models(slices, args.model)
     energies = integrate_energy(slices, max_gap_s=args.max_gap_s)
     energies.pop(UNATTRIBUTED_JOB, None)  # pseudo-job is not a scheduler status
     if args.what == "status":

@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptySeries,
@@ -33,9 +34,6 @@ from .errors import (
     OutOfRangeUtilization,
     CpuTimeRegression,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # canonical timestamp precision: milliseconds
 TS_DECIMALS = 3
@@ -463,11 +461,22 @@ def serialize_proc_trace(snaps: Iterable[ProcSnapshot]) -> str:
     return "".join(format_proc_line(s) + "\n" for s in snaps)
 
 
-def lerp_covered(ts: np.ndarray, watts: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A ts-sorted series linearly interpolated at query, and which points its span covers."""
-    import numpy as np
+def _interp(grid: Sequence[float], ts: Sequence[float], w: Sequence[float]) -> list[float]:
+    """np.interp(grid, ts, w), bit for bit, for a grid within [ts[0], ts[-1]] and finite w.
 
-    return np.interp(query, ts, watts), (query >= ts[0]) & (query <= ts[-1])
+    As in np.interp, a grid point on a sample (the last one included) takes
+    that sample's value; between samples, the segment's slope is applied
+    from its left end.
+    """
+    last = len(ts) - 1
+    out = []
+    for x in grid:
+        j = bisect_right(ts, x) - 1
+        if j == last or ts[j] == x:
+            out.append(w[j])
+        else:
+            out.append((w[j + 1] - w[j]) / (ts[j + 1] - ts[j]) * (x - ts[j]) + w[j])
+    return out
 
 
 def resample_to_grid(series: Sequence[PowerSample], grid_ts: Sequence[float]) -> list[float | None]:
@@ -481,13 +490,10 @@ def resample_to_grid(series: Sequence[PowerSample], grid_ts: Sequence[float]) ->
         EmptySeries: the series has no samples.
         ValueError: the series is not sorted by strictly increasing ts.
     """
-    import numpy as np
-
     if not series:
         raise EmptySeries()
-    ts = np.array([s.ts for s in series], dtype=float)
-    if np.any(np.diff(ts) <= 0):
+    ts = [float(s.ts) for s in series]
+    if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("series must be sorted by strictly increasing ts")
-    watts = np.array([s.power_w for s in series], dtype=float)
-    values, covered = lerp_covered(ts, watts, np.asarray(list(grid_ts), dtype=float))
-    return [float(v) if ok else None for v, ok in zip(values, covered)]
+    w = [float(s.power_w) for s in series]
+    return [_interp([t], ts, w)[0] if ts[0] <= t <= ts[-1] else None for t in map(float, grid_ts)]

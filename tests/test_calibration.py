@@ -18,7 +18,7 @@ from wattscope import (
     parse_models,
     serialize_models,
 )
-from wattscope.calibration import _interp
+from wattscope.traces import _interp
 from test_attribution import make_slice
 from helpers import grid_fit_oracle, power_sample
 
@@ -30,7 +30,6 @@ class TestFitScale:
         assert m.mape_pct == 0.0
         assert m.energy_err_pct == 0.0
         assert m.n_points == 3
-        assert m.intercept_w == 0.0
 
     def test_exact_scale_recovery(self):
         s = [50.0, 80.0, 120.0, 90.0]
@@ -106,15 +105,6 @@ class TestFitScale:
         assert abs(m.mape_pct - best_mape) < 0.02
         assert m.mape_pct > 1.0  # the unmodeled 40 W is visible
 
-    def test_affine_recovers_baseline(self):
-        rng = random.Random(71)
-        s = [rng.uniform(50.0, 200.0) for _ in range(400)]
-        e = [2.0 * x + 40.0 for x in s]
-        m = fit_scale(s, e, affine=True)
-        assert math.isclose(m.k, 2.0, rel_tol=1e-9)
-        assert math.isclose(m.intercept_w, 40.0, rel_tol=1e-9)
-        assert m.mape_pct < 1e-6
-
 
 class TestApplyCalibration:
     def test_identity_scale(self):
@@ -139,15 +129,8 @@ class TestApplyCalibration:
         with pytest.raises(NodeMismatch):
             apply_calibration(model, [make_slice(node="n2")])
 
-    def test_intercept_goes_to_unattributed(self):
-        model = CalibrationModel("n1", 2.0, 0.0, 10, intercept_w=40.0)
-        s = make_slice(jobs={7: JobPower(100.0, 0.0)}, un_cpu=10.0)
-        (out,) = apply_calibration(model, [s])
-        assert out.per_job[7].ext_w == 200.0  # jobs never pay the baseline
-        assert out.unattributed_ext_w == 2.0 * 10.0 + 40.0
-
     def test_total_is_conserved(self):
-        model = CalibrationModel("n1", 1.7, 0.0, 10, intercept_w=12.0)
+        model = CalibrationModel("n1", 1.7, 0.0, 10)
         slices = [
             make_slice(t0=i, t1=i + 1.0, jobs={7: JobPower(float(i), 2.0 * i)}, un_cpu=3.0)
             for i in range(10)
@@ -156,7 +139,7 @@ class TestApplyCalibration:
             soft = sum(p.cpu_w + p.gpu_w for p in out.per_job.values())
             soft += out.unattributed_cpu_w + out.unattributed_gpu_w
             ext = sum(p.ext_w for p in out.per_job.values()) + out.unattributed_ext_w
-            assert math.isclose(ext, model.k * soft + model.intercept_w, rel_tol=1e-12)
+            assert math.isclose(ext, model.k * soft, rel_tol=1e-12)
 
 
 @st.composite
@@ -240,19 +223,31 @@ class TestFitNodes:
         with pytest.raises(DegenerateInput):
             fit_nodes(soft, [power_sample("a", "ext", 0.5, 100.0)])  # one overlapping point
 
-    def test_affine_flag_passes_through(self):
-        soft = [power_sample("a", "cpu0", float(t), 100.0 + t) for t in range(100)]
-        ext = [power_sample("a", "ext", float(t), 2.0 * (100.0 + t) + 40.0) for t in range(100)]
-        (m,) = fit_nodes(soft, ext, affine=True)
-        assert math.isclose(m.k, 2.0, rel_tol=1e-9)
-        assert math.isclose(m.intercept_w, 40.0, rel_tol=1e-9)
+    def test_no_fit_names_each_node_and_its_reason(self):
+        ext = [power_sample(node, "ext", float(t), 1e154) for node in ("a", "b", "c") for t in range(10)]
+        soft = [power_sample("b", "cpu0", 0.0, 100.0), power_sample("b", "cpu0", 0.5, 100.0)]  # one meter instant
+        soft += [power_sample("c", "cpu0", float(t), 1e154) for t in range(10)]
+        with pytest.raises(DegenerateInput) as info:
+            fit_nodes(soft, ext)
+        assert str(info.value) == (
+            "no node could be fitted: a: no cpu or gpu readings; "
+            "b: fewer than 2 meter readings within the span every software series covers; "
+            "c: power readings too large or too small to fit"
+        )
+        with pytest.raises(DegenerateInput, match="^no node could be fitted: no external readings$"):
+            fit_nodes(soft, [])
+
+    def test_a_fitted_node_hides_the_skip_reasons(self):
+        soft_a, ext_a = self.constant_node("a", 2.0)
+        ext_b = [power_sample("b", "ext", float(t), 1e154) for t in range(10)]
+        assert fit_nodes(soft_a, ext_a + ext_b) == fit_nodes(soft_a, ext_a)
 
 
 class TestModelSerialization:
     def test_round_trip(self):
         models = [
-            CalibrationModel("a", 1.5, 3.25, 100, 0.0, 1.125),
-            CalibrationModel("b", 2.0, 0.0, 50, 12.5, None),
+            CalibrationModel("a", 1.5, 3.25, 100, energy_err_pct=1.125),
+            CalibrationModel("b", 2.0, 0.0, 50),
         ]
         text = serialize_models(models)
         assert parse_models(text.splitlines()) == models
@@ -275,3 +270,20 @@ class TestModelSerialization:
         for line in bad:
             with pytest.raises(MalformedLine):
                 parse_models([line])
+        for n in ("1", "10.5", "true", "null"):
+            with pytest.raises(MalformedLine, match="^line 1: missing or invalid 'n'$"):
+                parse_models(['{"node":"a","k":1.5,"mape_pct":3.0,"n":%s}' % n])
+
+    def test_nonzero_intercept_is_rejected_at_its_line(self):
+        # a scale-only reading of an affine model would silently drop its baseline
+        ok = '{"node":"a","k":1.5,"mape_pct":3.0,"n":10}'
+        with pytest.raises(MalformedLine, match="^line 2: nonzero 'intercept_w': models are scale-only$"):
+            parse_models([ok, '{"node":"b","k":1.5,"mape_pct":3.0,"n":10,"intercept_w":40}'])
+        for zero in ("0", "0.0", "-0.0"):
+            (m,) = parse_models(['{"node":"a","k":1.5,"mape_pct":3.0,"n":10,"intercept_w":%s}' % zero])
+            assert m == CalibrationModel("a", 1.5, 3.0, 10)
+
+    def test_energy_error_is_keyword_only(self):
+        # a stale call that passes an intercept fifth must not set the energy error
+        with pytest.raises(TypeError):
+            CalibrationModel("a", 1.5, 3.0, 10, 1.125)

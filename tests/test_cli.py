@@ -328,30 +328,40 @@ class TestReport:
         assert all(r[4] == "0" for r in rows)  # no external column without calibration
         assert all(r[5] == "0" for r in rows)
 
-    def test_model_for_missing_node_warns_but_succeeds(self, fixture, tmp_path):
-        other = write_lines(tmp_path / "other_model.jsonl", [json.dumps({"node": "zz", "k": 2.0, "mape_pct": 0.0, "n": 10})])
-        code, out, err = run_cli(
-            "report", "status",
-            "--jobs", fixture["jobs"],
-            "--power", fixture["power"],
-            "--proc", fixture["proc"],
-            "--pidmap", fixture["pidmap"],
-            "--model", other,
-            "--format", "csv",
-        )
-        assert code == 0
-        assert "note: no calibration model for node n1" in err
-        assert out.splitlines()[0].startswith("status,")
-
-    def test_partial_model_note_says_uncovered_ext_energy_is_zero(self, fixture, tmp_path):
+    def test_model_for_missing_node_fails(self, fixture, tmp_path):
+        # an uncovered node's ext energy would count as 0 and hand its share to the covered nodes
         other = write_lines(tmp_path / "other_model.jsonl", [json.dumps({"node": "zz", "k": 2.0, "mape_pct": 0.0, "n": 10})])
         argv = report_argv(fixture, "status", "--format", "csv")
         argv[argv.index("--model") + 1] = other
-        code, out, err = run_cli(*argv)
+        assert run_cli(*argv) == (1, "", f"error: WattscopeError: {other}: no calibration model for node(s) 'n1'\n")
+
+    def test_partial_model_error_names_every_uncovered_node(self, fixture, tmp_path):
+        slices = write_lines(tmp_path / "three_nodes.jsonl", [
+            json.dumps({"node": node, "t0": 0.0, "t1": 1.0, "jobs": {}, "unattr_cpu_w": 1.0, "unattr_gpu_w": 0.0})
+            for node in ("n3", "n1", "n2")
+        ])
+        model = write_lines(tmp_path / "n2_model.jsonl", [json.dumps({"node": "n2", "k": 2.0, "mape_pct": 0.0, "n": 10})])
+        for what in ("status", "user"):
+            assert run_cli("report", what, "--jobs", fixture["jobs"], "--slices", slices, "--model", model) == (
+                1, "", f"error: WattscopeError: {model}: no calibration model for node(s) 'n1', 'n3'\n"
+            )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_energy_beyond_the_float_range_fails(self, fixture, tmp_path, fmt):
+        # each watt value is finite, but their energy integral is not
+        code, text, _ = run_cli("attribute", *report_argv(fixture)[2:10])
         assert code == 0
-        assert err == "note: no calibration model for node n1; its external energy counts as 0\n"
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert all(r[4] == "0" for r in rows)
+        slices = write_lines(tmp_path / "slices.jsonl", text.splitlines())
+        huge_k = write_lines(tmp_path / "huge_k.jsonl", [json.dumps({"node": "n1", "k": 1e308, "mape_pct": 0.0, "n": 10})])
+        argv = ["report", "status", "--jobs", fixture["jobs"], "--slices", slices, "--model", huge_k, "--format", fmt]
+        assert run_cli(*argv) == (1, "", "error: WattscopeError: energy of job 1 is beyond the float range\n")
+
+        with open(fixture["power"], encoding="utf-8") as fh:
+            lines = [line.replace('"w": 1000.0', '"w": 1.5e308') for line in fh.read().splitlines()]
+        huge_w = write_lines(tmp_path / "huge_w.jsonl", lines)
+        argv = report_argv(fixture, "status", "--format", fmt)[:-2]
+        argv[argv.index("--power") + 1] = huge_w
+        assert run_cli(*argv) == (1, "", "error: WattscopeError: energy of job 1 is beyond the float range\n")
 
     def test_raw_trace_report_reads_the_jobs_file_once(self, fixture, monkeypatch):
         import wattscope.cli as cli
@@ -528,7 +538,6 @@ BAD_OPTIONS = [
     ("report gpu-hist", "--bins", "0", "a positive integer"),
     ("report gpu-hist", "--bins", "abc", "a positive integer"),
     ("report status", "--bins", "-2", "a positive integer"),
-    ("attribute", "--max-gap-s", "0", "a positive number"),
     ("report status", "--max-gap-s", "nan", "a positive number"),
     ("attribute", "--threads", "0", "a positive integer"),
     ("report status", "--threads", "1.5", "a positive integer"),
@@ -569,6 +578,11 @@ class TestUsageErrorMessages:
         code, out, err = run_cli(*complete_argv(fixture, command), flag, good[flag])
         assert (code, err) == (0, "")
         assert out
+
+    @pytest.mark.parametrize("command, removed", [("calibrate", ["--affine"]), ("attribute", ["--max-gap-s", "5"])])
+    def test_removed_flags_are_usage_errors(self, fixture, command, removed):
+        argv = complete_argv(fixture, command) + removed
+        assert run_cli(*argv) == (2, "", f"usage error: unrecognized arguments: {' '.join(removed)}\n")
 
     @pytest.mark.parametrize(
         "argv, message",

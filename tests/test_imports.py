@@ -1,11 +1,11 @@
 """Which commands load numpy and the thread pool.
 
 Every CLI command is a fresh interpreter, so an import that a command never
-uses is paid on each call.  numpy is loaded only by the commands that
-compute with arrays (attribute, report on raw traces, calibrate --affine);
-calibrate's scale-only fit sums with math.fsum instead.  No command loads
-concurrent.futures.  Each check runs in a subprocess so that modules
-loaded by the test session do not count.
+uses is paid on each call.  numpy is loaded only by the attribution split,
+that is by attribute and by report on raw traces; calibrate sums with
+math.fsum and interpolates with the stdlib, as resample_to_grid does.  No
+command loads concurrent.futures.  Each check runs in a subprocess so that
+modules loaded by the test session do not count.
 """
 
 import io
@@ -58,23 +58,35 @@ def test_light_commands_never_load_numpy_or_the_thread_pool(tmp_path):
     assert run(["attribute", *raw_flags(f)], stdout=out, stderr=io.StringIO()) == 0
     slices = tmp_path / "slices.jsonl"
     slices.write_text(out.getvalue(), encoding="utf-8")
+    calibrate = ["calibrate", "--power", f["power"], "--external", f["external"]]
 
     steps = probe([
         ("validate", ["validate", *raw_flags(f), "--external", f["external"], "--slices", str(slices)]),
         ("report_slices", ["report", "status", "--jobs", f["jobs"], "--slices", str(slices), "--model", f["model"]]),
-        ("report_user", ["report", "user", "--jobs", f["jobs"], "--slices", str(slices)]),
+        ("report_user", ["report", "user", "--jobs", f["jobs"], "--slices", str(slices), "--format", "json"]),
         ("gpu_hist", ["report", "gpu-hist", "--proc", f["proc"], "--per-job-mean",
                       "--pidmap", f["pidmap"], "--jobs", f["jobs"]]),
-        ("calibrate", ["calibrate", "--power", f["power"], "--external", f["external"],
-                       "--model", str(tmp_path / "model.out")]),
+        ("calibrate", [*calibrate, "--model", str(tmp_path / "model.out")]),
+        ("calibrate_csv", [*calibrate, "--format", "csv"]),
+        ("calibrate_json", [*calibrate, "--format", "json"]),
         ("attribute", ["attribute", *raw_flags(f)]),
     ])
-    for name in ("import", "validate", "report_slices", "report_user", "gpu_hist", "calibrate"):
+    for name in ("import", "validate", "report_slices", "report_user", "gpu_hist", "calibrate", "calibrate_csv", "calibrate_json"):
         assert steps[name] == {"code": 0, "numpy": False, "concurrent.futures": False}, name
     assert steps["attribute"] == {"code": 0, "numpy": True, "concurrent.futures": False}
 
 
-def test_only_the_affine_fit_loads_numpy(tmp_path):
+def test_report_on_raw_traces_loads_numpy(tmp_path):
     f = write_status_split_fixture(tmp_path)
-    steps = probe([("calibrate_affine", ["calibrate", "--power", f["power"], "--external", f["external"], "--affine"])])
-    assert steps["calibrate_affine"] == {"code": 0, "numpy": True, "concurrent.futures": False}
+    steps = probe([("report_raw", ["report", "status", *raw_flags(f), "--model", f["model"]])])
+    assert steps["report_raw"] == {"code": 0, "numpy": True, "concurrent.futures": False}
+
+
+def test_resample_to_grid_does_not_load_numpy():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import wattscope; "
+        "series = [wattscope.PowerSample('n1', wattscope.Source('cpu', 0), t, 10.0 * t) for t in (0.0, 1.0)]; "
+        "print(wattscope.resample_to_grid(series, [-1.0, 0.25, 1.0]), 'numpy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "[None, 2.5, 10.0] False\n"), result.stderr

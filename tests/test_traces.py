@@ -355,6 +355,24 @@ class TestResample:
             want = a * x + b * y
             assert c == pytest.approx(want, rel=1e-9, abs=1e-9)
 
+    @given(
+        st.lists(st.integers(0, 20_000), min_size=1, max_size=40, unique=True),
+        st.lists(st.floats(0.0, 1e4), min_size=40, max_size=40),
+        st.lists(st.integers(-1_000, 21_000), max_size=60),
+    )
+    def test_matches_np_interp_bit_for_bit_where_covered(self, ticks, watts, grid_ms):
+        import numpy as np
+
+        ticks.sort()
+        series = [power_sample("n1", "cpu0", t / 1000.0, w) for t, w in zip(ticks, watts)]
+        grid = [t / 1000.0 for t in grid_ms + ticks]  # the samples themselves, first and last included
+        want = np.interp(grid, [s.ts for s in series], [s.power_w for s in series]).tolist()
+        for t, got, w in zip(grid, resample_to_grid(series, grid), want):
+            if series[0].ts <= t <= series[-1].ts:
+                assert got.hex() == w.hex()
+            else:
+                assert got is None
+
 
 class TestDuplicateProcRecords:
     def test_second_record_for_node_ts_pid_is_located(self):
