@@ -4,82 +4,54 @@ Replays power and process telemetry, splits node power among scheduler
 jobs, calibrates software readings against external wattmeters, and
 renders per-status / per-user energy reports and GPU utilization
 histograms.
+
+Importing the package loads none of its modules: each public name loads
+its module on first access (PEP 562), so a command pays only for the
+code it runs.
 """
 
-from .attribution import (
-    AttributionSlice,
-    CoverageStats,
-    Interval,
-    JobEnergy,
-    JobPower,
-    attribute,
-    cpu_shares,
-    gpu_shares,
-    integrate_energy,
-    parse_slices,
-    serialize_slices,
-    slice_coverage,
-)
-from .calibration import (
-    CalibrationModel,
-    apply_calibration,
-    fit_nodes,
-    fit_scale,
-    parse_models,
-    serialize_models,
-)
-from .analytics import (
-    BreakdownReport,
-    BreakdownRow,
-    UtilizationHistogram,
-    aggregate_by_status,
-    aggregate_by_user,
-    gpu_histogram,
-    render_report,
-)
-from .errors import (
-    CpuTimeRegression,
-    DegenerateInput,
-    DuplicatePid,
-    EmptySeries,
-    MalformedLine,
-    MissingCapacity,
-    MultiNodeJob,
-    NegativeDelta,
-    NegativePower,
-    NodeMismatch,
-    NonMonotonicTimestamp,
-    OutOfRangeUtilization,
-    OverlappingSlices,
-    TraceError,
-    UnknownJob,
-    WattscopeError,
-)
-from .jobs import (
-    KNOWN_STATUSES,
-    UNATTRIBUTED_JOB,
-    JobRecord,
-    PidMapSnapshot,
-    PidTimeline,
-    build_timelines,
-    parse_jobs,
-    parse_pidmap,
-    pid_owner,
-    serialize_jobs,
-    serialize_pidmap,
-)
-from .traces import (
-    PowerSample,
-    ProcSnapshot,
-    Source,
-    TraceBundle,
-    canonical_ts,
-    parse_power_trace,
-    parse_proc_trace,
-    parse_source,
-    resample_to_grid,
-    serialize_power_trace,
-    serialize_proc_trace,
-)
-
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "attribution": (
+        "AttributionSlice", "CoverageStats", "Interval", "JobEnergy", "JobPower", "attribute", "cpu_shares",
+        "gpu_shares", "integrate_energy", "parse_slices", "serialize_slices", "slice_coverage",
+    ),
+    "calibration": (
+        "CalibrationModel", "apply_calibration", "fit_nodes", "fit_scale", "parse_models", "serialize_models",
+    ),
+    "analytics": (
+        "BreakdownReport", "BreakdownRow", "UtilizationHistogram", "aggregate_by_status", "aggregate_by_user",
+        "gpu_histogram", "render_report",
+    ),
+    "errors": (
+        "CpuTimeRegression", "DegenerateInput", "DuplicatePid", "EmptySeries", "MalformedLine", "MissingCapacity",
+        "MultiNodeJob", "NegativeDelta", "NegativePower", "NodeMismatch", "NonMonotonicTimestamp",
+        "OutOfRangeUtilization", "OverlappingSlices", "TraceError", "UnknownJob", "WattscopeError",
+    ),
+    "jobs": (
+        "KNOWN_STATUSES", "UNATTRIBUTED_JOB", "JobRecord", "PidMapSnapshot", "PidTimeline", "build_timelines",
+        "parse_jobs", "parse_pidmap", "pid_owner", "serialize_jobs", "serialize_pidmap",
+    ),
+    "traces": (
+        "PowerSample", "ProcSnapshot", "Source", "TraceBundle", "canonical_ts", "parse_power_trace",
+        "parse_proc_trace", "parse_source", "resample_to_grid", "serialize_power_trace", "serialize_proc_trace",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:  # also how `from wattscope import traces` finds an unloaded submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,24 +12,16 @@ import csv
 import io
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from math import isfinite
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .attribution import J_PER_KWH, JobEnergy
-from .errors import MissingCapacity, UnknownJob
+from .errors import MissingCapacity, UnknownJob, WattscopeError
 from .jobs import KNOWN_STATUSES, JobRecord
-from .traces import ProcColumns, ProcSnapshot
-
-SHARE_COLUMNS = ("ext", "gpu", "cpu")
-
-SM_PCT = "sm_pct"
-MEM_PCT = "mem_pct"
-
-DEFAULT_BINS = 20
+from .traces import DEFAULT_BINS, MEM_PCT, SHARE_COLUMNS, SM_PCT, ProcColumns, ProcSnapshot
 
 
-@dataclass(frozen=True)
-class BreakdownRow:
+class BreakdownRow(NamedTuple):
     key: str  # a status or a user name
     n_jobs: int
     gpu_kwh: float
@@ -38,15 +30,13 @@ class BreakdownRow:
     share_pct: float  # exact share of the selected column, unrounded
 
 
-@dataclass(frozen=True)
-class BreakdownReport:
+class BreakdownReport(NamedTuple):
     key_label: str  # "status" | "user"
     column: str  # which energy column shares were computed on
     rows: tuple[BreakdownRow, ...]
 
 
-@dataclass(frozen=True)
-class UtilizationHistogram:
+class UtilizationHistogram(NamedTuple):
     metric: str  # "sm_pct" | "mem_pct"
     bin_edges: tuple[float, ...]  # n_bins + 1 edges spanning [0, 100]
     counts: tuple[int, ...]
@@ -87,8 +77,15 @@ def _breakdown(
                 joules["ext"] += energy.ext_kwh * J_PER_KWH
         sums[key] = joules
 
+    # each job's energy is finite, but a group's sum, and the percentages of the total, need not be
+    for key, joules in sorted(sums.items()):
+        for name, value in joules.items():
+            if not isfinite(value):
+                raise WattscopeError(f"{name} energy of {key_label} {key!r} is beyond the float range")
     selected = {key: sums[key][column] for key in sorted(sums)}
     total = sum(selected.values())
+    if not isfinite(100.0 * total):
+        raise WattscopeError(f"total {column} energy is too large to compute percentage shares")
     rows = [
         BreakdownRow(
             key=key,

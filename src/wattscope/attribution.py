@@ -16,9 +16,8 @@ Slices serialize to JSON lines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedLine, NegativeDelta, OverlappingSlices, WattscopeError
 from .jobs import UNATTRIBUTED_JOB, OwnerIndex, PidTimeline, ownership_index
@@ -43,14 +42,18 @@ if TYPE_CHECKING:
 J_PER_KWH = 3.6e6
 
 
-@dataclass(frozen=True)
-class Interval:
+class _IntervalFields(NamedTuple):
     t0: float
     t1: float
 
-    def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise ValueError(f"interval must have t1 > t0, got [{self.t0}, {self.t1}]")
+
+class Interval(_IntervalFields):
+    __slots__ = ()
+
+    def __new__(cls, t0: float, t1: float):
+        if not t1 > t0:
+            raise ValueError(f"interval must have t1 > t0, got [{t0}, {t1}]")
+        return super().__new__(cls, t0, t1)
 
     @property
     def duration_s(self) -> float:
@@ -61,15 +64,13 @@ class Interval:
         return (self.t0 + self.t1) / 2.0
 
 
-@dataclass(frozen=True)
-class JobPower:
+class JobPower(NamedTuple):
     cpu_w: float
     gpu_w: float
     ext_w: float | None = None  # set once a calibration model is applied
 
 
-@dataclass(frozen=True)
-class AttributionSlice:
+class AttributionSlice(NamedTuple):
     interval: Interval
     node_id: str
     per_job: Mapping[int, JobPower]
@@ -78,16 +79,14 @@ class AttributionSlice:
     unattributed_ext_w: float | None = None
 
 
-@dataclass(frozen=True)
-class JobEnergy:
+class JobEnergy(NamedTuple):
     job_id: int
     cpu_kwh: float
     gpu_kwh: float
     ext_kwh: float | None = None  # present only after calibration
 
 
-@dataclass(frozen=True)
-class CoverageStats:
+class CoverageStats(NamedTuple):
     """How much of the trace the energy integral actually covers."""
 
     covered_s: float
@@ -249,8 +248,15 @@ def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns
             has_gpu |= has
             unattr_gpu += np.where(covered, unattr, 0.0)
 
+    cpu_w = np.where(has_cpu, cpu_w, 0.0)
+    # every reading is finite, but their sum over the node's series need not be
+    finite = np.isfinite(cpu_w).all(axis=1) & np.isfinite(gpu_w).all(axis=1)
+    finite &= np.isfinite(unattr_cpu) & np.isfinite(unattr_gpu)
+    if not finite.all():
+        t0 = float(ticks[np.argmin(finite)])
+        raise WattscopeError(f"power on node {node} is beyond the float range in the slice at t0={t0}")
     listed = (has_cpu | has_gpu).tolist()
-    cpu_w, gpu_w = np.where(has_cpu, cpu_w, 0.0).tolist(), gpu_w.tolist()
+    cpu_w, gpu_w = cpu_w.tolist(), gpu_w.tolist()
     t, u_cpu, u_gpu = ticks.tolist(), unattr_cpu.tolist(), unattr_gpu.tolist()
     return [
         AttributionSlice(
@@ -287,10 +293,11 @@ def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerInde
     columns = {"proc": proc, "ts": ts, "gpu": np.frombuffer(procs.gpu, dtype=np.int32)}
     columns.update((k, np.frombuffer(getattr(procs, k))) for k in ("cpu", "sm", "mem"))
     out: list[AttributionSlice] = []
-    for chunk in np.split(order, np.flatnonzero(np.diff(node[order])) + 1):
-        name = procs.nodes[procs.node_of[proc[chunk[0]]]]
-        rows = {k: v[chunk] for k, v in columns.items()}
-        out.extend(_node_slices(name, rows, series.get(name, []), owners.get(name), procs))
+    with np.errstate(over="ignore", invalid="ignore"):  # _node_slices reports power beyond the float range
+        for chunk in np.split(order, np.flatnonzero(np.diff(node[order])) + 1):
+            name = procs.nodes[procs.node_of[proc[chunk[0]]]]
+            rows = {k: v[chunk] for k, v in columns.items()}
+            out.extend(_node_slices(name, rows, series.get(name, []), owners.get(name), procs))
     return out
 
 

@@ -20,25 +20,34 @@ does not depend on the machine; this module needs no numpy.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from math import fsum, isfinite
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .attribution import AttributionSlice, JobPower
 from .errors import DegenerateInput, MalformedLine, NodeMismatch
 from .traces import CPU, GPU, EXT, PowerColumns, PowerSample, _dumps, _field_int, _field_num, _field_str, _interp, iter_records
 
 
-@dataclass(frozen=True)
-class CalibrationModel:
+class _ModelFields(NamedTuple):
     node_id: str
     k: float  # > 0
     mape_pct: float
     n_points: int  # >= 2
-    # |total predicted - total external| / total external; keyword-only, so
-    # that a fifth positional argument is an error rather than this field
-    energy_err_pct: float | None = field(default=None, kw_only=True)
+    energy_err_pct: float | None = None  # |total predicted - total external| / total external
+
+
+class CalibrationModel(_ModelFields):
+    __slots__ = ()
+
+    # energy_err_pct is keyword-only, so that a fifth positional argument is an error rather than this field
+    def __new__(
+        cls, node_id: str, k: float, mape_pct: float, n_points: int, *, energy_err_pct: float | None = None
+    ):
+        return super().__new__(cls, node_id, k, mape_pct, n_points, energy_err_pct)
+
+    def __getnewargs_ex__(self):  # copy and pickle pass it by keyword too
+        return tuple(self[:4]), {"energy_err_pct": self.energy_err_pct}
 
 
 def fit_scale(
@@ -83,6 +92,8 @@ def fit_scale(
             mape = 100.0 * (fsum(errors) / len(errors))
             total = fsum(e)
             energy_err = 100.0 * abs(fsum(predicted) - total) / total
+            if not (isfinite(mape) and isfinite(energy_err)):  # a meter reading near 0 W can make them overflow
+                raise OverflowError
         else:
             mape = 0.0
             energy_err = None

@@ -9,6 +9,8 @@ are written only after the whole command has succeeded, so stdout is
 empty on failure; diagnostics (with line numbers) go to stderr.
 Identical argv and input files produce byte-identical stdout.
 --threads is accepted and validated but has no effect.
+Each command imports only the modules it runs, so that its start-up
+stays near the interpreter's own.
 """
 
 from __future__ import annotations
@@ -18,19 +20,16 @@ import json
 import os
 import sys
 from functools import partial
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-from . import analytics
-from .analytics import MEM_PCT, SM_PCT, aggregate_by_status, aggregate_by_user, gpu_histogram, render_report
-from .attribution import attribute_columns, integrate_energy, parse_slices, serialize_slices
-from .calibration import CalibrationModel, apply_calibration, fit_nodes, parse_models, serialize_models
 from .errors import TraceError, WattscopeError
-from .jobs import UNATTRIBUTED_JOB, JobRecord, OwnerIndex, check_owners, owner_at, parse_jobs, read_pidmap
-from .traces import EXT, read_power_trace, read_proc_trace
+
+if TYPE_CHECKING:
+    from .calibration import CalibrationModel
+    from .jobs import JobRecord, OwnerIndex
 
 ENV_PREFIX = "WATTSCOPE_"
 
-_METRICS = {"sm": SM_PCT, "mem": MEM_PCT, SM_PCT: SM_PCT, MEM_PCT: MEM_PCT}
 _PATHS = ("power", "proc", "pidmap", "jobs", "external", "slices", "model", "capacities")
 
 
@@ -80,6 +79,8 @@ def _positive(number: Callable[[str], float]) -> Callable[[str], float | None]:
 
 
 def _build_parser() -> _Parser:
+    from .traces import DEFAULT_BINS, MEM_PCT, SHARE_COLUMNS, SM_PCT
+
     parser = _Parser(prog="wattscope", description=__doc__.splitlines()[0])
     parser.set_defaults(**dict.fromkeys(_PATHS, None))
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -109,9 +110,10 @@ def _build_parser() -> _Parser:
     r.add_argument("what", choices=["status", "user", "gpu-hist"])
     paths(r, "jobs", "slices", "power", "proc", "pidmap", "model", "capacities")
     output_format(r)
-    flag(r, "column", "ext", (f"one of {'/'.join(analytics.SHARE_COLUMNS)}", {k: k for k in analytics.SHARE_COLUMNS}.get))
-    flag(r, "metric", "sm", ("sm or mem", _METRICS.get))
-    flag(r, "bins", str(analytics.DEFAULT_BINS), ("a positive integer", _positive(int)), metavar="N")
+    flag(r, "column", "ext", (f"one of {'/'.join(SHARE_COLUMNS)}", {k: k for k in SHARE_COLUMNS}.get))
+    metrics = {"sm": SM_PCT, "mem": MEM_PCT, SM_PCT: SM_PCT, MEM_PCT: MEM_PCT}
+    flag(r, "metric", "sm", ("sm or mem", metrics.get))
+    flag(r, "bins", str(DEFAULT_BINS), ("a positive integer", _positive(int)), metavar="N")
     r.add_argument("--per-job-mean", action="store_true")
     flag(r, "max-gap-s", "10", ("a positive number", _positive(float)), metavar="S")
     for p in (a, r):
@@ -161,6 +163,8 @@ def _require(args: argparse.Namespace, names: Sequence[str], context: str):
 
 def _owners(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = None) -> OwnerIndex:
     """The --pidmap index, checked against jobs or else the --jobs file."""
+    from .jobs import check_owners, parse_jobs, read_pidmap
+
     owners = _parse_file(args.pidmap, read_pidmap)
     check_owners(owners, jobs if jobs is not None else _parse_file(args.jobs, parse_jobs))
     return owners
@@ -168,6 +172,9 @@ def _owners(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = None) -
 
 def _load_slices(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = None):
     """Read saved slices, or compute them; jobs, when given, is the parsed --jobs file."""
+    from .attribution import attribute_columns, parse_slices
+    from .traces import read_power_trace, read_proc_trace
+
     if args.slices is not None:
         return _parse_file(args.slices, parse_slices)
     _require(args, ("power", "proc", "pidmap", "jobs"), "computing slices")
@@ -178,6 +185,8 @@ def _load_slices(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = No
 
 def _apply_models(slices, path: str):
     """Calibrate slices with the --model file, which must cover every node they are on."""
+    from .calibration import apply_calibration, parse_models
+
     by_node: dict[str, CalibrationModel] = {}
     for m in _parse_file(path, parse_models):
         if m.node_id in by_node:
@@ -193,16 +202,22 @@ def _apply_models(slices, path: str):
 
 
 def _cmd_validate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    readers = (
-        ("power", read_power_trace),
-        ("proc", read_proc_trace),
-        ("pidmap", read_pidmap),
-        ("jobs", parse_jobs),
-        ("external", partial(read_power_trace, expected_kind=EXT)),
-        ("slices", parse_slices),
-    )
+    from .jobs import parse_jobs, read_pidmap
+    from .traces import EXT, read_power_trace, read_proc_trace
+
+    readers = {
+        "power": read_power_trace,
+        "proc": read_proc_trace,
+        "pidmap": read_pidmap,
+        "jobs": parse_jobs,
+        "external": partial(read_power_trace, expected_kind=EXT),
+    }
+    if args.slices is not None:  # the only input that needs attribution loaded
+        from .attribution import parse_slices
+
+        readers["slices"] = parse_slices
     parts = []
-    for name, reader in readers:
+    for name, reader in readers.items():
         path = getattr(args, name)
         if path is None:
             continue
@@ -216,6 +231,8 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_attribute(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .attribution import serialize_slices
+
     _require(args, ("power", "proc", "pidmap", "jobs"), "attribute")
     slices = _load_slices(args)
     out.write(serialize_slices(slices))
@@ -223,6 +240,10 @@ def _cmd_attribute(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .analytics import _render_csv, _render_table
+    from .calibration import fit_nodes, serialize_models
+    from .traces import EXT, read_power_trace
+
     _require(args, ("power", "external"), "calibrate")
     software = _parse_file(args.power, read_power_trace)
     external = _parse_file(args.external, read_power_trace, EXT)
@@ -245,13 +266,18 @@ def _cmd_calibrate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             for m in models
         ]
         if args.format == "csv":
-            out.write(analytics._render_csv(header, rows))
+            out.write(_render_csv(header, rows))
         else:
-            out.write(analytics._render_table(header, rows))
+            out.write(_render_table(header, rows))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .analytics import aggregate_by_status, aggregate_by_user, gpu_histogram, render_report
+    from .attribution import integrate_energy
+    from .jobs import UNATTRIBUTED_JOB, owner_at, parse_jobs
+    from .traces import read_proc_trace
+
     if args.what == "gpu-hist":
         _require(args, ("proc",), "report gpu-hist")
         procs = _parse_file(args.proc, read_proc_trace)

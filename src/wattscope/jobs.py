@@ -17,8 +17,7 @@ and check_owners checks; PidMapSnapshot and PidTimeline derive from it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DuplicatePid, MalformedLine, MultiNodeJob, UnknownJob
 from .traces import _dumps, _field_int, _field_num, _field_str, canonical_ts, iter_records
@@ -30,8 +29,7 @@ OwnerIndex = dict  # node -> (sorted snapshot ts list, {pid: job_id} per snapsho
 KNOWN_STATUSES = ("COMPLETED", "FAILED", "CANCELLED", "TIMEOUT")
 
 
-@dataclass(frozen=True)
-class JobRecord:
+class JobRecord(NamedTuple):
     job_id: int
     user: str
     node_id: str
@@ -41,8 +39,7 @@ class JobRecord:
     status: str  # one of KNOWN_STATUSES or a raw scheduler state
 
 
-@dataclass(frozen=True)
-class PidMapSnapshot:
+class PidMapSnapshot(NamedTuple):
     """The pid -> job assignment observed on one node at one instant."""
 
     node_id: str
@@ -50,8 +47,7 @@ class PidMapSnapshot:
     assignments: tuple[tuple[int, int], ...]  # (pid, job_id), sorted by pid
 
 
-@dataclass(frozen=True)
-class PidTimeline:
+class PidTimeline(NamedTuple):
     """A job's observed pid set at each snapshot instant on its node.
 
     Entries are (ts, pids) with strictly increasing ts; a set is valid

@@ -23,8 +23,7 @@ import json
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     EmptySeries,
@@ -42,26 +41,36 @@ CPU = "cpu"
 GPU = "gpu"
 EXT = "ext"
 
+# report options, defined here so that the CLI can build its parser without loading analytics
+SHARE_COLUMNS = ("ext", "gpu", "cpu")
+SM_PCT = "sm_pct"
+MEM_PCT = "mem_pct"
+DEFAULT_BINS = 20
+
 
 def canonical_ts(value: float) -> float:
     """Quantize a timestamp to the canonical millisecond grid."""
     return round(float(value), TS_DECIMALS)
 
 
-@dataclass(frozen=True)
-class Source:
+class _SourceFields(NamedTuple):
+    kind: str  # "cpu" | "gpu" | "ext"
+    index: int | None = None  # socket or gpu index; None for "ext"; shadows tuple.index
+
+
+class Source(_SourceFields):
     """A power source on a node: a CPU package, a GPU, or an external meter."""
 
-    kind: str  # "cpu" | "gpu" | "ext"
-    index: int | None = None  # socket or gpu index; None for "ext"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (CPU, GPU, EXT):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.kind == EXT and self.index is not None:
+    def __new__(cls, kind: str, index: int | None = None):
+        if kind not in (CPU, GPU, EXT):
+            raise ValueError(f"unknown source kind {kind!r}")
+        if kind == EXT and index is not None:
             raise ValueError("external sources carry no index")
-        if self.kind != EXT and (self.index is None or self.index < 0):
-            raise ValueError(f"{self.kind} sources need a non-negative index")
+        if kind != EXT and (index is None or index < 0):
+            raise ValueError(f"{kind} sources need a non-negative index")
+        return super().__new__(cls, kind, index)
 
     def __str__(self) -> str:
         return self.kind if self.index is None else f"{self.kind}{self.index}"
@@ -83,16 +92,14 @@ def parse_source(text: str) -> Source:
     raise ValueError(f"invalid source tag {text!r}")
 
 
-@dataclass(frozen=True)
-class PowerSample:
+class PowerSample(NamedTuple):
     node_id: str
     source: Source
     ts: float
     power_w: float
 
 
-@dataclass(frozen=True)
-class ProcSnapshot:
+class ProcSnapshot(NamedTuple):
     """One process observation: cumulative CPU time plus optional GPU usage."""
 
     node_id: str
@@ -104,8 +111,7 @@ class ProcSnapshot:
     gpu_mem_mib: float | None = None
 
 
-@dataclass(frozen=True)
-class TraceBundle:
+class TraceBundle(NamedTuple):
     """Power samples and process snapshots replayed together."""
 
     power: tuple[PowerSample, ...]
@@ -434,8 +440,9 @@ def parse_proc_trace(lines: Iterable[str]) -> list[ProcSnapshot]:
     return read_proc_trace(lines).snapshots()
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# compact JSON for one output line; a NaN or infinity raises ValueError rather than
+# writing a token that no JSON reader accepts
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 def format_power_line(sample: PowerSample) -> str:

@@ -56,6 +56,8 @@ class TestFitScale:
             fit_scale([1e154, 1e154], [1e154, 1e154])  # sum of s * e overflows
         with pytest.raises(DegenerateInput):
             fit_scale([1e-170, 1e-170], [1.0, 1.0])  # every s * s underflows to 0
+        with pytest.raises(DegenerateInput):
+            fit_scale([1.0, 1.0], [5e-324, 1.0])  # the relative error at a 5e-324 W reading overflows
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -287,3 +289,11 @@ class TestModelSerialization:
         # a stale call that passes an intercept fifth must not set the energy error
         with pytest.raises(TypeError):
             CalibrationModel("a", 1.5, 3.0, 10, 1.125)
+
+    def test_copy_and_pickle_keep_the_energy_error(self):
+        import copy
+        import pickle
+
+        m = CalibrationModel("a", 1.5, 3.0, 10, energy_err_pct=1.125)
+        for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(clone) is CalibrationModel and clone == m

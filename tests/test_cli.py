@@ -363,12 +363,44 @@ class TestReport:
         argv[argv.index("--power") + 1] = huge_w
         assert run_cli(*argv) == (1, "", "error: WattscopeError: energy of job 1 is beyond the float range\n")
 
+    @pytest.mark.parametrize("command", ["attribute", "report"])
+    def test_node_power_beyond_the_float_range_fails(self, fixture, tmp_path, command):
+        # each reading is finite, but the node's two cpu series sum to infinity
+        with open(fixture["power"], encoding="utf-8") as fh:
+            lines = [line.replace('"w": 1000.0', '"w": 1.5e308') for line in fh.read().splitlines()]
+        power = write_lines(tmp_path / "huge_w.jsonl", lines + [line.replace('"cpu0"', '"cpu1"') for line in lines])
+        argv = report_argv(fixture, "status")[:-2] if command == "report" else ["attribute", *report_argv(fixture)[2:10]]
+        argv[argv.index("--power") + 1] = power
+        expected = "error: WattscopeError: power on node n1 is beyond the float range in the slice at t0=0.0\n"
+        assert run_cli(*argv) == (1, "", expected)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("joules, message", [
+        ({101: 1e308, 104: 1e308}, "cpu energy of user 'alice' is beyond the float range"),
+        ({101: 1e308, 102: 1e308}, "total cpu energy is too large to compute percentage shares"),
+        ({101: 1e307}, "total cpu energy is too large to compute percentage shares"),  # 100 x the total, for the shares
+    ], ids=["user", "total", "shares"])
+    def test_group_energy_beyond_the_float_range_fails(self, tmp_path, fmt, joules, message):
+        # each job's energy is finite; their sum per user, or over users, is not
+        meta = [(101, "alice", "n1"), (102, "bob", "n1"), (103, "carol", "n2"), (104, "alice", "n2")]
+        jobs = write_lines(tmp_path / "jobs.jsonl", [
+            json.dumps({"job": j, "user": u, "node": n, "submit": 0.0, "start": 0.0, "end": 9.0, "status": "COMPLETED"})
+            for j, u, n in meta
+        ])
+        slices = write_lines(tmp_path / "slices.jsonl", [
+            json.dumps({"node": n, "t0": float(i), "t1": i + 1.0, "jobs": {str(j): {"cpu_w": joules[j], "gpu_w": 0.0}},
+                        "unattr_cpu_w": 0.0, "unattr_gpu_w": 0.0})
+            for i, (j, _, n) in enumerate(meta) if j in joules
+        ])
+        argv = ["report", "user", "--jobs", jobs, "--slices", slices, "--column", "cpu", "--format", fmt]
+        assert run_cli(*argv) == (1, "", f"error: WattscopeError: {message}\n")
+
     def test_raw_trace_report_reads_the_jobs_file_once(self, fixture, monkeypatch):
-        import wattscope.cli as cli
+        import wattscope.jobs as jobs  # each command imports its readers from their module when it runs
 
         calls = []
-        parse_jobs = cli.parse_jobs
-        monkeypatch.setattr(cli, "parse_jobs", lambda fh: calls.append(fh.name) or parse_jobs(fh))
+        parse_jobs = jobs.parse_jobs
+        monkeypatch.setattr(jobs, "parse_jobs", lambda fh: calls.append(fh.name) or parse_jobs(fh))
         for what in ("status", "user"):
             calls.clear()
             code, _, _ = run_cli(*report_argv(fixture, what))

@@ -1,11 +1,14 @@
-"""Which commands load numpy and the thread pool.
+"""Which modules each command loads.
 
 Every CLI command is a fresh interpreter, so an import that a command never
-uses is paid on each call.  numpy is loaded only by the attribution split,
-that is by attribute and by report on raw traces; calibrate sums with
-math.fsum and interpolates with the stdlib, as resample_to_grid does.  No
-command loads concurrent.futures.  Each check runs in a subprocess so that
-modules loaded by the test session do not count.
+uses is paid on each call.  `import wattscope` loads none of the package's
+modules; each public name loads its module on first access, and the CLI
+imports each module in the command that runs it, so validate reads with
+traces and jobs alone.  numpy is loaded only by the attribution split, that
+is by attribute and by report on raw traces; calibrate sums with math.fsum
+and interpolates with the stdlib, as resample_to_grid does.  No command
+loads concurrent.futures or dataclasses.  Each check runs in a subprocess
+so that modules loaded by the test session do not count.
 """
 
 import io
@@ -19,27 +22,34 @@ from wattscope.cli import run
 from helpers import write_status_split_fixture
 
 SRC = str(Path(wattscope.__file__).resolve().parent.parent)
-HEAVY = ("numpy", "concurrent.futures")
+HEAVY = ("numpy", "concurrent.futures", "dataclasses")
 
-# Runs each (name, argv) in order in one interpreter and prints, per step,
-# the exit code and which of HEAVY are loaded by then.
+# Imports wattscope, then wattscope.cli, then runs each (name, argv) in order
+# in one interpreter.  Prints, per step, the exit code and which of HEAVY are
+# loaded by then, and the package's modules loaded by then.
 PROBE = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
-import wattscope, wattscope.cli
 
 def loaded():
     return {name: name in sys.modules for name in %r}
 
-steps = {"import": {"code": 0, **loaded()}}
+def package():
+    return sorted(name for name in sys.modules if name.startswith("wattscope."))
+
+import wattscope
+steps, modules = {"import": {"code": 0, **loaded()}}, {"import": package()}
+import wattscope.cli
+modules["cli"] = package()
 for name, argv in json.loads(sys.argv[2]):
     code = wattscope.cli.run(argv, io.StringIO(), io.StringIO())
-    steps[name] = {"code": code, **loaded()}
-print(json.dumps(steps))
+    steps[name], modules[name] = {"code": code, **loaded()}, package()
+print(json.dumps([steps, modules]))
 """ % (HEAVY,)
 
 
 def probe(steps):
+    """Per step: {"code": exit code, HEAVY name: loaded}, and the sorted wattscope modules loaded."""
     result = subprocess.run(
         [sys.executable, "-c", PROBE, SRC, json.dumps(steps)],
         capture_output=True, text=True, timeout=120,
@@ -60,7 +70,7 @@ def test_light_commands_never_load_numpy_or_the_thread_pool(tmp_path):
     slices.write_text(out.getvalue(), encoding="utf-8")
     calibrate = ["calibrate", "--power", f["power"], "--external", f["external"]]
 
-    steps = probe([
+    steps, _ = probe([
         ("validate", ["validate", *raw_flags(f), "--external", f["external"], "--slices", str(slices)]),
         ("report_slices", ["report", "status", "--jobs", f["jobs"], "--slices", str(slices), "--model", f["model"]]),
         ("report_user", ["report", "user", "--jobs", f["jobs"], "--slices", str(slices), "--format", "json"]),
@@ -72,14 +82,14 @@ def test_light_commands_never_load_numpy_or_the_thread_pool(tmp_path):
         ("attribute", ["attribute", *raw_flags(f)]),
     ])
     for name in ("import", "validate", "report_slices", "report_user", "gpu_hist", "calibrate", "calibrate_csv", "calibrate_json"):
-        assert steps[name] == {"code": 0, "numpy": False, "concurrent.futures": False}, name
-    assert steps["attribute"] == {"code": 0, "numpy": True, "concurrent.futures": False}
+        assert steps[name] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}, name
+    assert steps["attribute"] == {"code": 0, "numpy": True, "concurrent.futures": False, "dataclasses": False}
 
 
 def test_report_on_raw_traces_loads_numpy(tmp_path):
     f = write_status_split_fixture(tmp_path)
-    steps = probe([("report_raw", ["report", "status", *raw_flags(f), "--model", f["model"]])])
-    assert steps["report_raw"] == {"code": 0, "numpy": True, "concurrent.futures": False}
+    steps, _ = probe([("report_raw", ["report", "status", *raw_flags(f), "--model", f["model"]])])
+    assert steps["report_raw"] == {"code": 0, "numpy": True, "concurrent.futures": False, "dataclasses": False}
 
 
 def test_resample_to_grid_does_not_load_numpy():
@@ -90,3 +100,26 @@ def test_resample_to_grid_does_not_load_numpy():
     )
     result = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True, timeout=120)
     assert (result.returncode, result.stdout) == (0, "[None, 2.5, 10.0] False\n"), result.stderr
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    f = write_status_split_fixture(tmp_path)
+    steps, modules = probe([("validate", ["validate", *raw_flags(f), "--external", f["external"]])])
+    assert modules["import"] == []
+    assert modules["cli"] == ["wattscope.cli", "wattscope.errors"]
+    assert modules["validate"] == ["wattscope.cli", "wattscope.errors", "wattscope.jobs", "wattscope.traces"]
+    assert steps["validate"] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}
+
+
+def test_every_public_name_resolves_on_first_access():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import wattscope; "
+        "listed = set(wattscope.__all__) <= set(dir(wattscope)); "
+        "star = {}; exec('from wattscope import *', star); "
+        "print(listed, sorted(set(wattscope.__all__) - set(star)), wattscope.__version__, 'numpy' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "True [] 0.1.0 False\n"), result.stderr
+    for name in wattscope.__all__:
+        assert getattr(wattscope, name) is getattr(getattr(wattscope, wattscope._MODULE_OF[name]), name)
+    assert not hasattr(wattscope, "no_such_name")

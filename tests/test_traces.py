@@ -153,6 +153,12 @@ class TestParseSource:
             with pytest.raises(ValueError):
                 parse_source(tag)
 
+    def test_built_sources_are_checked(self):
+        for kind, index in (("disk", 0), ("ext", 0), ("cpu", None), ("gpu", -1)):
+            with pytest.raises(ValueError):
+                Source(kind, index)
+        assert Source("gpu", 2) == ("gpu", 2)  # a record is a tuple of its fields
+
 
 class TestParseProcTrace:
     def test_basic_line(self):
