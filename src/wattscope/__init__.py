@@ -14,15 +14,13 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "attribution": (
-        "AttributionSlice", "CoverageStats", "Interval", "JobEnergy", "JobPower", "attribute", "cpu_shares",
-        "gpu_shares", "integrate_energy", "parse_slices", "serialize_slices", "slice_coverage",
+        "AttributionSlice", "CoverageStats", "Interval", "JobEnergy", "JobPower", "apply_calibration", "attribute",
+        "cpu_shares", "gpu_shares", "integrate_energy", "parse_slices", "serialize_slices", "slice_coverage",
     ),
-    "calibration": (
-        "CalibrationModel", "apply_calibration", "fit_nodes", "fit_scale", "parse_models", "serialize_models",
-    ),
+    "calibration": ("CalibrationModel", "fit_nodes", "fit_scale", "parse_models", "serialize_models"),
     "analytics": (
-        "BreakdownReport", "BreakdownRow", "UtilizationHistogram", "aggregate_by_status", "aggregate_by_user",
-        "gpu_histogram", "render_report",
+        "KNOWN_STATUSES", "BreakdownReport", "BreakdownRow", "UtilizationHistogram", "aggregate_by_status",
+        "aggregate_by_user", "gpu_histogram", "render_report",
     ),
     "errors": (
         "CpuTimeRegression", "DegenerateInput", "DuplicatePid", "EmptySeries", "MalformedLine", "MissingCapacity",
@@ -30,8 +28,8 @@ _EXPORTS = {
         "OutOfRangeUtilization", "OverlappingSlices", "TraceError", "UnknownJob", "WattscopeError",
     ),
     "jobs": (
-        "KNOWN_STATUSES", "UNATTRIBUTED_JOB", "JobRecord", "PidMapSnapshot", "PidTimeline", "build_timelines",
-        "parse_jobs", "parse_pidmap", "pid_owner", "serialize_jobs", "serialize_pidmap",
+        "UNATTRIBUTED_JOB", "JobRecord", "PidMapSnapshot", "PidTimeline", "build_timelines", "parse_jobs",
+        "parse_pidmap", "pid_owner", "serialize_jobs", "serialize_pidmap",
     ),
     "traces": (
         "PowerSample", "ProcSnapshot", "Source", "TraceBundle", "canonical_ts", "parse_power_trace",

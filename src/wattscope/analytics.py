@@ -13,12 +13,17 @@ import io
 import json
 from bisect import bisect_right
 from math import isfinite
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .attribution import J_PER_KWH, JobEnergy
 from .errors import MissingCapacity, UnknownJob, WattscopeError
-from .jobs import KNOWN_STATUSES, JobRecord
-from .traces import DEFAULT_BINS, MEM_PCT, SHARE_COLUMNS, SM_PCT, ProcColumns, ProcSnapshot
+from .traces import DEFAULT_BINS, J_PER_KWH, MEM_PCT, SHARE_COLUMNS, SM_PCT, ProcColumns, ProcSnapshot
+
+if TYPE_CHECKING:  # calibrate and report gpu-hist load this module, and neither loads attribution or jobs
+    from .attribution import JobEnergy
+    from .jobs import JobRecord
+
+# canonical display order for the well-known scheduler states
+KNOWN_STATUSES = ("COMPLETED", "FAILED", "CANCELLED", "TIMEOUT")
 
 
 class BreakdownRow(NamedTuple):
@@ -42,6 +47,18 @@ class UtilizationHistogram(NamedTuple):
     counts: tuple[int, ...]
     n_samples: int  # included samples; equals sum(counts)
     excluded: int  # GPU samples lacking the metric
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """values added in order, one rounding per step.
+
+    sum() compensates float rounding since Python 3.12, which would make a
+    report's last digits depend on the interpreter's version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _breakdown(
@@ -83,7 +100,7 @@ def _breakdown(
             if not isfinite(value):
                 raise WattscopeError(f"{name} energy of {key_label} {key!r} is beyond the float range")
     selected = {key: sums[key][column] for key in sorted(sums)}
-    total = sum(selected.values())
+    total = _left_sum(selected.values())
     if not isfinite(100.0 * total):
         raise WattscopeError(f"total {column} energy is too large to compute percentage shares")
     rows = [
@@ -196,7 +213,7 @@ def gpu_histogram(
             keyed.setdefault(key, []).append(value)
 
     if job_of is not None:
-        values = [sum(vs) / len(vs) for vs in keyed.values()]
+        values = [_left_sum(vs) / len(vs) for vs in keyed.values()]
 
     edges = [100.0 * i / n_bins for i in range(n_bins + 1)]
     counts = [0] * n_bins

@@ -19,11 +19,12 @@ from __future__ import annotations
 from math import isfinite
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MalformedLine, NegativeDelta, OverlappingSlices, WattscopeError
+from .errors import MalformedLine, NegativeDelta, NodeMismatch, OverlappingSlices, WattscopeError
 from .jobs import UNATTRIBUTED_JOB, OwnerIndex, PidTimeline, ownership_index
 from .traces import (
     CPU,
     GPU,
+    J_PER_KWH,
     PowerColumns,
     ProcColumns,
     TraceBundle,
@@ -36,10 +37,10 @@ from .traces import (
 if TYPE_CHECKING:
     import numpy as np
 
+    from .calibration import CalibrationModel
+
 # numpy is imported where the split uses it, so that reading, integrating
 # and reporting saved slices never load it.
-
-J_PER_KWH = 3.6e6
 
 
 class _IntervalFields(NamedTuple):
@@ -392,6 +393,37 @@ def integrate_energy(
         )
         for job_id, vals in sorted(acc.items())
     }
+
+
+def apply_calibration(
+    model: CalibrationModel, slices: Sequence[AttributionSlice]
+) -> list[AttributionSlice]:
+    """Project slices into wall-power terms: ext_w = k * (cpu_w + gpu_w).
+
+    Jobs and the unattributed bucket scale alike, so totals stay conserved.
+
+    Raises:
+        NodeMismatch: a slice belongs to a different node than the model.
+    """
+    out: list[AttributionSlice] = []
+    for s in slices:
+        if s.node_id != model.node_id:
+            raise NodeMismatch(model.node_id, s.node_id)
+        per_job = {
+            job_id: JobPower(p.cpu_w, p.gpu_w, ext_w=model.k * (p.cpu_w + p.gpu_w))
+            for job_id, p in s.per_job.items()
+        }
+        out.append(
+            AttributionSlice(
+                s.interval,
+                s.node_id,
+                per_job,
+                s.unattributed_cpu_w,
+                s.unattributed_gpu_w,
+                unattributed_ext_w=model.k * (s.unattributed_cpu_w + s.unattributed_gpu_w),
+            )
+        )
+    return out
 
 
 def slice_coverage(slices: Sequence[AttributionSlice], max_gap_s: float = 10.0) -> CoverageStats:

@@ -24,9 +24,18 @@ from math import fsum, isfinite
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .attribution import AttributionSlice, JobPower
-from .errors import DegenerateInput, MalformedLine, NodeMismatch
+from .errors import DegenerateInput, MalformedLine
 from .traces import CPU, GPU, EXT, PowerColumns, PowerSample, _dumps, _field_int, _field_num, _field_str, _interp, iter_records
+
+
+def __getattr__(name: str):
+    # apply_calibration works on slices, so it lives in attribution, which calibrate never loads;
+    # this keeps its old path, wattscope.calibration.apply_calibration, working
+    if name == "apply_calibration":
+        from .attribution import apply_calibration
+
+        return apply_calibration
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _ModelFields(NamedTuple):
@@ -100,37 +109,6 @@ def fit_scale(
     except (OverflowError, ZeroDivisionError):
         raise DegenerateInput("power readings too large or too small to fit") from None
     return CalibrationModel(node_id, k, mape, n, energy_err_pct=energy_err)
-
-
-def apply_calibration(
-    model: CalibrationModel, slices: Sequence[AttributionSlice]
-) -> list[AttributionSlice]:
-    """Project slices into wall-power terms: ext_w = k * (cpu_w + gpu_w).
-
-    Jobs and the unattributed bucket scale alike, so totals stay conserved.
-
-    Raises:
-        NodeMismatch: a slice belongs to a different node than the model.
-    """
-    out: list[AttributionSlice] = []
-    for s in slices:
-        if s.node_id != model.node_id:
-            raise NodeMismatch(model.node_id, s.node_id)
-        per_job = {
-            job_id: JobPower(p.cpu_w, p.gpu_w, ext_w=model.k * (p.cpu_w + p.gpu_w))
-            for job_id, p in s.per_job.items()
-        }
-        out.append(
-            AttributionSlice(
-                s.interval,
-                s.node_id,
-                per_job,
-                s.unattributed_cpu_w,
-                s.unattributed_gpu_w,
-                unattributed_ext_w=model.k * (s.unattributed_cpu_w + s.unattributed_gpu_w),
-            )
-        )
-    return out
 
 
 def format_model_line(model: CalibrationModel) -> str:

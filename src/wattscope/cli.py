@@ -22,7 +22,7 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-from .errors import TraceError, WattscopeError
+from .errors import MalformedLine, TraceError, WattscopeError
 
 if TYPE_CHECKING:
     from .calibration import CalibrationModel
@@ -121,12 +121,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _not_utf8(path: str) -> WattscopeError:
+    """The error for a file that does not decode as UTF-8, located at its first such line."""
+    # a second pass, made only on failure; the same line splitting as the parsers' numbering
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # an undecodable byte, escaped to a lone surrogate
+                return _InputError(path, MalformedLine(line_no, "not UTF-8 text"))
+    return WattscopeError(f"{path}: not UTF-8 text")  # the file changed since the first reading
+
+
 def _parse_file(path: str, parser_fn: Callable, *args):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return parser_fn(fh, *args)
     except TraceError as exc:
         raise _InputError(path, exc) from exc
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def _load_capacities(path: str) -> dict[tuple[str, int], float]:
@@ -134,7 +148,9 @@ def _load_capacities(path: str) -> dict[tuple[str, int], float]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+        except (ValueError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deeply
             raise WattscopeError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise WattscopeError(f"{path}: capacities must be an object keyed by node")
@@ -149,7 +165,8 @@ def _load_capacities(path: str) -> dict[tuple[str, int], float]:
                     raise ValueError
             except ValueError:
                 raise WattscopeError(f"{path}: invalid gpu index {key!r}") from None
-            if isinstance(mib, bool) or not isinstance(mib, (int, float)) or mib <= 0:
+            # NaN, an infinity, and an integer too large for a float would each bin wrongly or fail later
+            if isinstance(mib, bool) or not isinstance(mib, (int, float)) or not 0 < mib <= sys.float_info.max:
                 raise WattscopeError(f"{path}: invalid capacity for ({node}, {key})")
             out[(node, index)] = float(mib)
     return out
@@ -185,7 +202,8 @@ def _load_slices(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = No
 
 def _apply_models(slices, path: str):
     """Calibrate slices with the --model file, which must cover every node they are on."""
-    from .calibration import apply_calibration, parse_models
+    from .attribution import apply_calibration
+    from .calibration import parse_models
 
     by_node: dict[str, CalibrationModel] = {}
     for m in _parse_file(path, parse_models):
@@ -274,21 +292,25 @@ def _cmd_calibrate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _cmd_report(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from .analytics import aggregate_by_status, aggregate_by_user, gpu_histogram, render_report
-    from .attribution import integrate_energy
-    from .jobs import UNATTRIBUTED_JOB, owner_at, parse_jobs
-    from .traces import read_proc_trace
 
-    if args.what == "gpu-hist":
+    if args.what == "gpu-hist":  # reads proc alone, and jobs for --per-job-mean; never attribution
+        from .traces import read_proc_trace
+
         _require(args, ("proc",), "report gpu-hist")
         procs = _parse_file(args.proc, read_proc_trace)
         capacities = _load_capacities(args.capacities) if args.capacities else None
         job_of = None
         if args.per_job_mean:
+            from .jobs import owner_at
+
             _require(args, ("pidmap", "jobs"), "--per-job-mean")
             job_of = partial(owner_at, _owners(args))
         hist = gpu_histogram(procs, args.metric, args.bins, capacities, job_of)
         out.write(render_report(hist, args.format))
         return 0
+
+    from .attribution import integrate_energy
+    from .jobs import UNATTRIBUTED_JOB, parse_jobs
 
     _require(args, ("jobs",), f"report {args.what}")
     jobs = _parse_file(args.jobs, parse_jobs)
@@ -339,4 +361,10 @@ def run(
 
 
 def main() -> None:
+    """The console script and `python -m wattscope`."""
+    # numpy's bundled OpenBLAS starts a pool of worker threads, one per core, when numpy is
+    # imported; that is about half of the import.  The CLI calls no BLAS routine, so it runs
+    # with one thread, which starts no pool, whatever the shell sets.  run() and the library
+    # leave the environment alone: a program that uses them may want BLAS threads.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(run())

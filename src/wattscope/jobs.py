@@ -25,9 +25,6 @@ from .traces import _dumps, _field_int, _field_num, _field_str, canonical_ts, it
 UNATTRIBUTED_JOB = 0
 OwnerIndex = dict  # node -> (sorted snapshot ts list, {pid: job_id} per snapshot)
 
-# canonical display order for the well-known scheduler states
-KNOWN_STATUSES = ("COMPLETED", "FAILED", "CANCELLED", "TIMEOUT")
-
 
 class JobRecord(NamedTuple):
     job_id: int
@@ -36,7 +33,7 @@ class JobRecord(NamedTuple):
     t_submit: float
     t_start: float
     t_end: float
-    status: str  # one of KNOWN_STATUSES or a raw scheduler state
+    status: str  # one of analytics.KNOWN_STATUSES or a raw scheduler state
 
 
 class PidMapSnapshot(NamedTuple):

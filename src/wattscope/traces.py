@@ -47,6 +47,9 @@ SM_PCT = "sm_pct"
 MEM_PCT = "mem_pct"
 DEFAULT_BINS = 20
 
+# energy accumulates in joules and is reported in kWh; defined here, which both attribution and analytics load
+J_PER_KWH = 3.6e6
+
 
 def canonical_ts(value: float) -> float:
     """Quantize a timestamp to the canonical millisecond grid."""
@@ -170,10 +173,11 @@ class ProcColumns:
     on node nodes[node_of[proc[i]]] with pid pids[proc[i]]; gpu[i] indexes
     gpus or is -1, and sm and mem are NaN where absent."""
 
-    __slots__ = ("nodes", "node_of", "pids", "gpus", "proc", "ts", "cpu", "gpu", "sm", "mem")
+    __slots__ = ("nodes", "node_of", "pids", "gpus", "proc", "ts", "cpu", "gpu", "sm", "mem", "_node_no")
 
     def __init__(self):
         self.nodes, self.node_of, self.pids, self.gpus = [], [], [], []
+        self._node_no: dict[str, int] = {}  # node -> its index in nodes
         self.proc, self.gpu = array("i"), array("i")
         self.ts, self.cpu, self.sm, self.mem = array("d"), array("d"), array("d"), array("d")
 
@@ -181,9 +185,11 @@ class ProcColumns:
         return len(self.proc)
 
     def _new_proc(self, node: str, pid: int) -> int:
-        if node not in self.nodes:
+        n = self._node_no.get(node)
+        if n is None:
+            n = self._node_no[node] = len(self.nodes)
             self.nodes.append(node)
-        self.node_of.append(self.nodes.index(node))
+        self.node_of.append(n)
         self.pids.append(pid)
         return len(self.pids) - 1
 

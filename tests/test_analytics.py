@@ -114,6 +114,20 @@ class TestStatusBreakdown:
         report = aggregate_by_status(jobs, energies)
         assert all(r.share_pct == 0.0 for r in report.rows)
 
+    def test_group_sums_add_left_to_right(self):
+        # Python 3.12's sum() compensates float rounding: 1e16 J + 1 J + 1 J would total 1e16 + 2 J there,
+        # and the first share would print as 99.99999999999999 instead of 100.0
+        jobs = [job_record(1, status="CANCELLED"), job_record(2, status="COMPLETED"), job_record(3, status="FAILED")]
+        energies = {1: energy(1, ext=1e16 / 3.6e6), 2: energy(2, ext=1 / 3.6e6), 3: energy(3, ext=1 / 3.6e6)}
+        joules = [e.ext_kwh * 3.6e6 for e in energies.values()]
+        assert math.fsum(joules) > joules[0] + joules[1] + joules[2] == joules[0]
+        report = aggregate_by_status(jobs, energies)
+        assert {r.key: r.share_pct for r in report.rows} == {
+            job.status: 100.0 * j / joules[0] for job, j in zip(jobs, joules)
+        }
+        rows = json.loads(render_report(report, "json"))["rows"]
+        assert {row["status"]: row["ext_share_pct"] for row in rows}["CANCELLED"] == 100.0
+
     def test_column_selection(self):
         jobs = [job_record(1, status="COMPLETED"), job_record(2, status="FAILED")]
         energies = {1: energy(1, gpu=3.0, cpu=1.0), 2: energy(2, gpu=1.0, cpu=3.0)}
@@ -317,6 +331,15 @@ class TestGpuHistogram:
         assert hist.counts[4] == 1  # mean(10, 30) = 20
         assert hist.counts[18] == 1  # 90
         assert hist.counts[10] == 1  # 50
+
+
+    def test_per_job_means_add_left_to_right(self):
+        # ten readings of 0.1 add to 0.9999999999999999 in order but to 1.0 under Python 3.12's
+        # compensated sum(), whose mean, 0.1, is the lower edge of bin 1 of 1000
+        procs = [proc_snap("n1", float(i), 41, 0.0, gpu=0, sm=0.1) for i in range(10)]
+        hist = gpu_histogram(procs, n_bins=1000, job_of=lambda node, pid, ts: 7)
+        assert hist.bin_edges[1] == math.fsum([0.1] * 10) / 10
+        assert (hist.counts[0], hist.counts[1]) == (1, 0)
 
 
 class TestRendering:

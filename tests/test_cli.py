@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,15 @@ def fixture(tmp_path):
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def with_byte_ff(path, line_no, tmp_path):
+    """A copy of the file at path whose line line_no starts with 0xff, a byte that UTF-8 never uses."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+    copy = tmp_path / f"ff_{Path(path).name}"
+    copy.write_bytes(b"".join(lines))
+    return str(copy)
 
 
 @pytest.fixture()
@@ -92,6 +102,10 @@ class TestValidate:
         assert path in err
         assert "line 3" in err
 
+    def test_bytes_that_are_not_utf8_are_located(self, tmp_path, fixture):
+        jobs = with_byte_ff(fixture["jobs"], 3, tmp_path)
+        assert run_cli("validate", "--jobs", jobs) == (1, "", f"error: MalformedLine: {jobs}: line 3: not UTF-8 text\n")
+
     def test_missing_file(self, tmp_path):
         code, out, err = run_cli("validate", "--power", str(tmp_path / "nope.jsonl"))
         assert code == 1
@@ -154,6 +168,12 @@ class TestAttribute:
         assert out == ""
         assert "NonMonotonicTimestamp" in err
         assert "5000" in err
+
+    def test_bytes_that_are_not_utf8_are_located(self, tmp_path, fixture):
+        # far past the first block that the text reader decodes
+        proc = with_byte_ff(fixture["proc"], 400, tmp_path)
+        argv = ["attribute", "--power", fixture["power"], "--proc", proc, "--pidmap", fixture["pidmap"], "--jobs", fixture["jobs"]]
+        assert run_cli(*argv) == (1, "", f"error: MalformedLine: {proc}: line 400: not UTF-8 text\n")
 
     def test_missing_flags(self, fixture):
         code, out, err = run_cli("attribute", "--power", fixture["power"])
@@ -407,6 +427,12 @@ class TestReport:
             assert code == 0
             assert calls == [fixture["jobs"]]
 
+    def test_bytes_that_are_not_utf8_are_located(self, fixture, tmp_path):
+        _, text, _ = run_cli("attribute", *(a for name in ("power", "proc", "pidmap", "jobs") for a in (f"--{name}", fixture[name])))
+        slices = with_byte_ff(write_lines(tmp_path / "slices.jsonl", text.splitlines()), 5, tmp_path)
+        code, out, err = run_cli("report", "status", "--jobs", fixture["jobs"], "--slices", slices)
+        assert (code, out, err) == (1, "", f"error: MalformedLine: {slices}: line 5: not UTF-8 text\n")
+
     def test_duplicate_models_rejected(self, fixture, tmp_path):
         dup = write_lines(
             tmp_path / "dup.jsonl",
@@ -503,6 +529,25 @@ class TestGpuHist:
         caps = write_lines(tmp_path / "caps.json", ['{"n1": {"0": 16000.0, "%s": 4000.0, "%s": 16000.0}}' % keys])
         code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", caps)
         assert (code, out, err) == (1, "", f"error: WattscopeError: {caps}: invalid gpu index '01'\n")
+
+    @pytest.mark.parametrize("capacity", ["NaN", "Infinity", "1e999", "9" * 400], ids=["nan", "inf", "1e999", "int400"])
+    def test_capacity_beyond_the_float_range_is_rejected(self, gpu_fixture, tmp_path, capacity):
+        # NaN binned every sample of its GPU at 100 %, an infinity at 0 %, and a 400-digit integer overflowed
+        caps = write_lines(tmp_path / "caps.json", ['{"n1": {"0": %s, "1": 16000.0}}' % capacity])
+        code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", caps)
+        assert (code, out, err) == (1, "", f"error: WattscopeError: {caps}: invalid capacity for (n1, 0)\n")
+
+    def test_deeply_nested_capacities_are_rejected(self, gpu_fixture, tmp_path):
+        caps = tmp_path / "caps.json"
+        caps.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", str(caps))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: WattscopeError: {caps}: invalid JSON: maximum recursion depth exceeded"), err
+
+    def test_capacities_that_are_not_utf8_are_located(self, gpu_fixture, tmp_path):
+        caps = with_byte_ff(write_lines(tmp_path / "caps.json", ['{"n1": {', '"0": 16000.0}}']), 2, tmp_path)
+        code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", caps)
+        assert (code, out, err) == (1, "", f"error: MalformedLine: {caps}: line 2: not UTF-8 text\n")
 
     def test_malformed_capacities(self, gpu_fixture, tmp_path):
         bad = write_lines(tmp_path / "badcaps.json", [json.dumps({"n1": {"x": 16000.0}})])

@@ -1,21 +1,28 @@
-"""Which modules each command loads.
+"""Which modules each command loads, and how many threads it starts.
 
 Every CLI command is a fresh interpreter, so an import that a command never
 uses is paid on each call.  `import wattscope` loads none of the package's
 modules; each public name loads its module on first access, and the CLI
 imports each module in the command that runs it, so validate reads with
-traces and jobs alone.  numpy is loaded only by the attribution split, that
-is by attribute and by report on raw traces; calibrate sums with math.fsum
-and interpolates with the stdlib, as resample_to_grid does.  No command
-loads concurrent.futures or dataclasses.  Each check runs in a subprocess
-so that modules loaded by the test session do not count.
+traces and jobs alone.  calibrate and report gpu-hist never load
+attribution: calibrate fits and prints with calibration and analytics, and
+gpu-hist reads proc, and the pidmap and jobs for --per-job-mean.  numpy is
+loaded only by the attribution split, that is by attribute and by report on
+raw traces; calibrate sums with math.fsum and interpolates with the stdlib,
+as resample_to_grid does.  No command loads concurrent.futures or
+dataclasses.  The CLI's entry point runs OpenBLAS with one thread, so
+loading numpy starts no thread pool.  Each check runs in a subprocess so
+that modules loaded by the test session do not count.
 """
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import wattscope
 from wattscope.cli import run
@@ -109,6 +116,54 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert modules["cli"] == ["wattscope.cli", "wattscope.errors"]
     assert modules["validate"] == ["wattscope.cli", "wattscope.errors", "wattscope.jobs", "wattscope.traces"]
     assert steps["validate"] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}
+
+
+def test_calibrate_and_gpu_hist_never_load_attribution(tmp_path):
+    f = write_status_split_fixture(tmp_path)
+    calibrate = ["calibrate", "--power", f["power"], "--external", f["external"], "--format", "csv"]
+    gpu_hist = ["report", "gpu-hist", "--proc", f["proc"], "--per-job-mean", "--pidmap", f["pidmap"], "--jobs", f["jobs"]]
+    for argv, expected in (
+        (calibrate, ["analytics", "calibration", "cli", "errors", "traces"]),
+        (gpu_hist, ["analytics", "cli", "errors", "jobs", "traces"]),
+    ):
+        steps, modules = probe([("command", argv)])
+        assert modules["command"] == [f"wattscope.{name}" for name in expected], argv
+        assert steps["command"] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}
+
+
+# Runs wattscope.cli.main() with sys.argv from the command line, then prints
+# its exit code, whether numpy is loaded, and the process's thread count.
+MAIN = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+sys.argv = ["wattscope", *sys.argv[2:]]
+from wattscope.cli import main
+
+stdout, sys.stdout = sys.stdout, io.StringIO()
+try:
+    main()
+except SystemExit as exc:
+    code = exc.code
+sys.stdout = stdout
+with open("/proc/self/status", encoding="ascii") as fh:
+    threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+print(code, "numpy" in sys.modules, threads)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("inherited", [None, "8"])
+def test_the_cli_starts_no_blas_thread_pool(tmp_path, inherited):
+    # OpenBLAS starts one thread per core when numpy is imported, unless OPENBLAS_NUM_THREADS is 1
+    f = write_status_split_fixture(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if inherited is not None:
+        env["OPENBLAS_NUM_THREADS"] = inherited
+    result = subprocess.run(
+        [sys.executable, "-c", MAIN, SRC, "attribute", *raw_flags(f)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert (result.returncode, result.stdout) == (0, "0 True 1\n"), result.stderr
 
 
 def test_every_public_name_resolves_on_first_access():

@@ -7,8 +7,10 @@ conserve the power an independent interpolation finds at its midpoint.
 
 The metamorphic tests change the input in a way whose effect on the
 output is known exactly: reordering lines across series and nodes changes
-nothing, doubling every watt reading doubles every watt field, and
-splitting the proc trace at a snapshot instant splits the slices.
+nothing, doubling every watt reading doubles every watt field, splitting
+the proc trace at a snapshot instant splits the slices, relabelling pids
+in order changes nothing, and renaming nodes in order renames them in the
+output and changes nothing else.
 
 A float reference, one slice at a time, pins the order of every sum
 (pids ascending, then job ids, then GPU indices), so that the output is
@@ -262,6 +264,46 @@ class TestMetamorphic:
         for job_id, e in want.items():
             assert math.isclose(got[job_id][0], e.cpu_kwh, rel_tol=REL, abs_tol=1e-15)
             assert math.isclose(got[job_id][1], e.gpu_kwh, rel_tol=REL, abs_tol=1e-15)
+
+
+    @settings(max_examples=25)
+    @given(scenarios, st.randoms())
+    def test_relabelling_pids_in_order_changes_nothing(self, params, rng):
+        # pids order each node's records and name their owners; no output byte depends on their values
+        sc = make_scenario(params)
+        pids = sorted({p.pid for p in sc["procs"]} | {pid for s in sc["pidmap"] for pid, _ in s.assignments})
+        new = dict(zip(pids, sorted(rng.sample(range(1, 4_194_305), len(pids)))))  # up to Linux's largest pid
+        relabelled = {
+            **sc,
+            "procs": [p._replace(pid=new[p.pid]) for p in sc["procs"]],
+            "pidmap": [s._replace(assignments=tuple((new[pid], j) for pid, j in s.assignments)) for s in sc["pidmap"]],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            base = cli_attribute(write_scenario(sc, Path(tmp)))
+        with tempfile.TemporaryDirectory() as tmp:
+            assert cli_attribute(write_scenario(relabelled, Path(tmp))) == base
+
+    @settings(max_examples=25)
+    @given(scenarios, st.randoms())
+    def test_renaming_nodes_in_order_renames_the_output(self, params, rng):
+        # names of several lengths, so that an order by length first would differ from the order of names
+        sc = make_scenario(params)
+        nodes = sorted({r.node_id for records in sc.values() for r in records})
+        names: set[str] = set()
+        while len(names) < len(nodes):
+            names.add("".join(rng.choice("-.09AZ_az\u00e9") for _ in range(rng.randint(1, 12))))
+        new = dict(zip(nodes, sorted(names)))
+        renamed = {key: [r._replace(node_id=new[r.node_id]) for r in records] for key, records in sc.items()}
+        with tempfile.TemporaryDirectory() as tmp:
+            base = cli_attribute(write_scenario(sc, Path(tmp)))
+        with tempfile.TemporaryDirectory() as tmp:
+            got = cli_attribute(write_scenario(renamed, Path(tmp)))
+
+        def rename(line: str) -> str:  # the node is the first field of a slice line
+            node = json.loads(line)["node"]
+            return line.replace(json.dumps(node), json.dumps(new[node]), 1)
+
+        assert got == "".join(rename(line) + "\n" for line in base.splitlines())
 
 
 def ordered_float_attribute(power, procs, pidmap):
