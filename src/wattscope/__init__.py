@@ -14,8 +14,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "attribution": (
-        "AttributionSlice", "CoverageStats", "Interval", "JobEnergy", "JobPower", "apply_calibration", "attribute",
-        "cpu_shares", "gpu_shares", "integrate_energy", "parse_slices", "serialize_slices", "slice_coverage",
+        "AttributionSlice", "CoverageStats", "Interval", "JobEnergy", "JobPower", "SliceColumns", "apply_calibration",
+        "attribute", "cpu_shares", "gpu_shares", "integrate_energy", "parse_slices", "read_slices", "serialize_slices",
+        "slice_coverage",
     ),
     "calibration": ("CalibrationModel", "fit_nodes", "fit_scale", "parse_models", "serialize_models"),
     "analytics": (

@@ -8,15 +8,23 @@ by default, since that is what the machine room pays for).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from bisect import bisect_right
 from math import isfinite
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingCapacity, UnknownJob, WattscopeError
-from .traces import DEFAULT_BINS, J_PER_KWH, MEM_PCT, SHARE_COLUMNS, SM_PCT, ProcColumns, ProcSnapshot
+from .traces import (
+    DEFAULT_BINS,
+    J_PER_KWH,
+    MEM_PCT,
+    SHARE_COLUMNS,
+    SM_PCT,
+    ProcColumns,
+    ProcSnapshot,
+    _render_csv,
+    _render_table,
+)
 
 if TYPE_CHECKING:  # calibrate and report gpu-hist load this module, and neither loads attribution or jobs
     from .attribution import JobEnergy
@@ -248,23 +256,6 @@ def _breakdown_cells(report: BreakdownReport) -> tuple[list[str], list[list[str]
         for r in report.rows
     ]
     return header, rows
-
-
-def _render_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(cell) for cell in col) for col in zip(header, *rows)] if rows else [len(h) for h in header]
-    lines = []
-    for cells in [header] + rows:
-        padded = [cells[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(cells[1:], widths[1:])]
-        lines.append("  ".join(padded).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _render_csv(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def render_report(report: BreakdownReport | UtilizationHistogram, fmt: str = "text") -> str:

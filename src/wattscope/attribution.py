@@ -12,12 +12,20 @@ Slices serialize to JSON lines:
 
   {"node":"n1","t0":10.0,"t1":11.0,"jobs":{"7":{"cpu_w":150.0,"gpu_w":0.0}},
    "unattr_cpu_w":0.0,"unattr_gpu_w":0.0}
+
+The commands hold slices as SliceColumns, stdlib arrays laid out like a
+sparse matrix, and build no object per slice; AttributionSlice, JobPower and
+Interval are the record-level view of the same data (SliceColumns.of and
+.slices convert), which attribute, parse_slices and the functions below
+accept or return for lists of slices.
 """
 
 from __future__ import annotations
 
-from math import isfinite
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from array import array
+from itertools import chain, islice, repeat
+from math import isfinite, isinf, nan
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedLine, NegativeDelta, NodeMismatch, OverlappingSlices, WattscopeError
 from .jobs import UNATTRIBUTED_JOB, OwnerIndex, PidTimeline, ownership_index
@@ -39,8 +47,8 @@ if TYPE_CHECKING:
 
     from .calibration import CalibrationModel
 
-# numpy is imported where the split uses it, so that reading, integrating
-# and reporting saved slices never load it.
+# numpy is imported where the split uses it, so that reading, integrating,
+# calibrating and reporting saved slices never load it.
 
 
 class _IntervalFields(NamedTuple):
@@ -94,6 +102,98 @@ class CoverageStats(NamedTuple):
     excluded_s: float
     n_slices: int
     n_excluded: int
+
+
+class SliceColumns:
+    """Attribution slices as columns, laid out like a sparse CSR matrix.
+
+    Slice i is on node nodes[node[i]] over [t0[i], t1[i]], with unattributed
+    watts unattr_cpu[i], unattr_gpu[i] and unattr_ext[i].  Its jobs are the
+    entries start[i] to start[i + 1] - 1, by ascending job id: entry e is job
+    jobs[job[e]] with watts cpu[e], gpu[e] and ext[e].  An ext watt is NaN
+    where no calibration model was applied.  Nodes and jobs are numbered on
+    first sight, so every node in nodes has a slice.
+    """
+
+    __slots__ = ("nodes", "node", "t0", "t1", "unattr_cpu", "unattr_gpu", "unattr_ext",
+                 "start", "jobs", "job", "cpu", "gpu", "ext", "_node_no", "_job_no")
+
+    def __init__(self):
+        self.nodes, self.jobs = [], []
+        self._node_no: dict[str, int] = {}  # node -> its index in nodes
+        self._job_no: dict[int, int] = {}  # job id -> its index in jobs
+        self.node, self.job, self.start = array("i"), array("i"), array("q", [0])
+        self.t0, self.t1, self.unattr_cpu, self.unattr_gpu, self.unattr_ext = (array("d") for _ in range(5))
+        self.cpu, self.gpu, self.ext = array("d"), array("d"), array("d")
+
+    def __len__(self) -> int:
+        return len(self.t0)
+
+    def _node_number(self, node: str) -> int:
+        n = self._node_no.get(node)
+        if n is None:
+            n = self._node_no[node] = len(self.nodes)
+            self.nodes.append(node)
+        return n
+
+    def _job_number(self, job_id: int) -> int:
+        j = self._job_no.get(job_id)
+        if j is None:
+            j = self._job_no[job_id] = len(self.jobs)
+            self.jobs.append(job_id)
+        return j
+
+    def _append(self, node: str, t0: float, t1: float, entries: list, u_cpu: float, u_gpu: float, u_ext) -> None:
+        """Add one slice; entries are (job id, cpu_w, gpu_w, ext_w or None), one per job, in any order."""
+        self.node.append(self._node_number(node))
+        self.t0.append(t0)
+        self.t1.append(t1)
+        self.unattr_cpu.append(u_cpu)
+        self.unattr_gpu.append(u_gpu)
+        self.unattr_ext.append(nan if u_ext is None else u_ext)
+        entries.sort(key=lambda entry: entry[0])
+        for job_id, cpu_w, gpu_w, ext_w in entries:
+            self.job.append(self._job_number(job_id))
+            self.cpu.append(cpu_w)
+            self.gpu.append(gpu_w)
+            self.ext.append(nan if ext_w is None else ext_w)
+        self.start.append(len(self.job))
+
+    @classmethod
+    def of(cls, slices: Iterable[AttributionSlice]) -> "SliceColumns":
+        """Columns of already-built slices, in their order."""
+        cols = cls()
+        for s in slices:
+            entries = [(job_id, p.cpu_w, p.gpu_w, p.ext_w) for job_id, p in s.per_job.items()]
+            cols._append(s.node_id, s.interval.t0, s.interval.t1, entries,
+                         s.unattributed_cpu_w, s.unattributed_gpu_w, s.unattributed_ext_w)
+        return cols
+
+    def slices(self) -> list[AttributionSlice]:
+        entries = zip(self.job, self.cpu, self.gpu, self.ext)
+        return [
+            AttributionSlice(
+                Interval(t0, t1), self.nodes[n],
+                {self.jobs[j]: JobPower(cpu_w, gpu_w, None if ext_w != ext_w else ext_w)
+                 for j, cpu_w, gpu_w, ext_w in islice(entries, size)},
+                u_cpu, u_gpu, None if u_ext != u_ext else u_ext,
+            )
+            for n, t0, t1, u_cpu, u_gpu, u_ext, size in zip(
+                self.node, self.t0, self.t1, self.unattr_cpu, self.unattr_gpu, self.unattr_ext, _row_sizes(self)
+            )
+        ]
+
+    def _with_ext(self, unattr_ext: array, ext: array) -> "SliceColumns":
+        """These slices with other ext watts; the other columns are shared, not copied."""
+        out = SliceColumns.__new__(SliceColumns)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.unattr_ext, out.ext = unattr_ext, ext
+        return out
+
+
+def _columns(slices: SliceColumns | Iterable[AttributionSlice]) -> SliceColumns:
+    return slices if isinstance(slices, SliceColumns) else SliceColumns.of(slices)
 
 
 def _split(
@@ -186,23 +286,50 @@ def gpu_shares(
     return _split_one(sm_by_job, gpu_power_w, mem_by_job)
 
 
-def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns) -> list[AttributionSlice]:
-    """One node's slices from its records, sorted by (ts, pid), and its power series."""
+def _owner_columns(ts: np.ndarray, proc: np.ndarray, owners, pids: list) -> tuple[list, np.ndarray]:
+    """The node's job axis [UNATTRIBUTED_JOB, jobs ascending], and each record's column on it under step-hold.
+
+    Each (snapshot, process) of the pidmap is one integer key, sorted once, so
+    that one searchsorted finds every record's owner; a pid that no record
+    has keys no process.
+    """
     import numpy as np
 
-    ts, proc = rows["ts"], rows["proc"]
+    snap_ts, maps = owners or ((), ())
+    jobs = [UNATTRIBUTED_JOB] + sorted(set().union(*(m.values() for m in maps)))
+    sizes = np.fromiter(map(len, maps), np.int64, len(maps))
+    total = int(sizes.sum())
+    if not total:
+        return jobs, np.zeros(len(ts), dtype=np.int64)
+    column = {j: c for c, j in enumerate(jobs)}
+    # the node's processes, numbered from 1; np.unique would import numpy.ma, about 1 MiB of RSS
+    number = {pids[p]: p + 1 for p in np.flatnonzero(np.bincount(proc)).tolist()}
+    span = len(pids) + 1
+    key = np.repeat(np.arange(len(maps), dtype=np.int64) * span, sizes)
+    key += np.fromiter(map(number.get, chain.from_iterable(maps), repeat(0)), np.int64, total)
+    owner = np.fromiter(map(column.__getitem__, chain.from_iterable(m.values() for m in maps)), np.int64, total)
+    by_key = np.argsort(key, kind="stable")
+    key, owner = key[by_key], owner[by_key]
+    snap = np.searchsorted(np.asarray(snap_ts, dtype=float), ts, side="right") - 1
+    want = snap * span + proc + 1  # negative before the first snapshot, where no key matches
+    at = np.minimum(np.searchsorted(key, want), total - 1)
+    return jobs, np.where(key[at] == want, owner[at], 0)
+
+
+def _node_slices(out: SliceColumns, node: str, chunk: np.ndarray, columns: dict, series: list, owners,
+                 procs: ProcColumns) -> None:
+    """Add one node's slices to out; chunk indexes its records in columns, sorted by (ts, pid)."""
+    import numpy as np
+
+    ts, proc = columns["ts"][chunk], columns["proc"][chunk]
     first = np.append(True, ts[1:] != ts[:-1])
     tick = np.cumsum(first) - 1
     ticks = ts[first]
     n = len(ticks) - 1
+    if n < 1:
+        return
     mids = (ticks[:-1] + ticks[1:]) / 2.0
-
-    # owners under step-hold, as columns of the job axis [UNATTRIBUTED_JOB, node's jobs ascending]
-    snap_ts, maps = owners or ((), ())
-    jobs = [UNATTRIBUTED_JOB] + sorted({j for owner_of in maps for j in owner_of.values()})
-    column = {j: c for c, j in enumerate(jobs)}
-    snap = (np.searchsorted(np.asarray(snap_ts, dtype=float), ts, side="right") - 1).tolist()
-    col = np.array([column[maps[s].get(procs.pids[p], 0)] if s >= 0 else 0 for s, p in zip(snap, proc.tolist())])
+    jobs, col = _owner_columns(ts, proc.astype(np.int64), owners, procs.pids)
     n_jobs = len(jobs)
 
     def per_job(key: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -225,9 +352,10 @@ def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns
     linked = (proc[a] == proc[b]) & (tick[b] == tick[a] + 1)
     nxt = np.full(len(ts), -1)
     nxt[a[linked]] = b[linked]
-    both = nxt >= 0
+    both = nxt >= 0  # in record order, which bincount keeps when it adds
     key = tick[both] * n_jobs + col[both]
-    deltas = per_job(key, rows["cpu"][nxt[both]] - rows["cpu"][both])
+    cpu_s = columns["cpu"]
+    deltas = per_job(key, cpu_s[chunk[nxt[both]]] - cpu_s[chunk[both]])
     seen = per_job(key) > 0
     negative = seen & (deltas < 0)
     if negative.any():
@@ -236,14 +364,15 @@ def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns
 
     # GPU activity is taken from the snapshot at interval start
     gpu_w, has_gpu, unattr_gpu = np.zeros((n, n_jobs)), np.zeros((n, n_jobs), dtype=bool), np.zeros(n)
-    sm, mem = (np.where(np.isnan(rows[k]), 0.0, rows[k]) for k in ("sm", "mem"))
+    gpu = columns["gpu"][chunk]
     for kind, index, s_ts, s_w in series:
         if kind == GPU:
             values, covered = lerp_covered(s_ts, s_w)
-            on = (tick < n) & (rows["gpu"] == (procs.gpus.index(index) if index in procs.gpus else -2))
+            on = (tick < n) & (gpu == (procs.gpus.index(index) if index in procs.gpus else -2))
             key = tick[on] * n_jobs + col[on]
+            sm, mem = (np.where(np.isnan(v), 0.0, v) for v in (columns["sm"][chunk[on]], columns["mem"][chunk[on]]))
             present = per_job(key) > 0
-            shares, has, unattr = _split(per_job(key, sm[on]), present, values, per_job(key, mem[on]))
+            shares, has, unattr = _split(per_job(key, sm), present, values, per_job(key, mem))
             has &= covered[:, None]
             gpu_w += np.where(has, shares, 0.0)
             has_gpu |= has
@@ -256,25 +385,34 @@ def _node_slices(node: str, rows: dict, series: list, owners, procs: ProcColumns
     if not finite.all():
         t0 = float(ticks[np.argmin(finite)])
         raise WattscopeError(f"power on node {node} is beyond the float range in the slice at t0={t0}")
-    listed = (has_cpu | has_gpu).tolist()
-    cpu_w, gpu_w = cpu_w.tolist(), gpu_w.tolist()
-    t, u_cpu, u_gpu = ticks.tolist(), unattr_cpu.tolist(), unattr_gpu.tolist()
-    return [
-        AttributionSlice(
-            Interval(t[i], t[i + 1]), node,
-            {jobs[c]: JobPower(cpu_w[i][c], gpu_w[i][c]) for c in range(1, n_jobs) if listed[i][c]},
-            u_cpu[i], u_gpu[i],
-        )
-        for i in range(n)
-    ]
+
+    listed = has_cpu | has_gpu
+    listed[:, 0] = False  # unattributed watts have columns of their own
+    _, entry_col = np.nonzero(listed)  # row by row, so by slice and then ascending job id
+
+    def put(column: array, values) -> None:
+        column.frombytes(np.ascontiguousarray(values, dtype=column.typecode).tobytes())
+
+    put(out.node, np.full(n, out._node_number(node)))
+    put(out.t0, ticks[:-1])
+    put(out.t1, ticks[1:])
+    put(out.unattr_cpu, unattr_cpu)
+    put(out.unattr_gpu, unattr_gpu)
+    put(out.unattr_ext, np.full(n, np.nan))
+    put(out.start, out.start[-1] + np.cumsum(listed.sum(axis=1)))
+    put(out.job, np.array([-1, *map(out._job_number, jobs[1:])])[entry_col])
+    put(out.cpu, cpu_w[listed])
+    put(out.gpu, gpu_w[listed])
+    put(out.ext, np.full(len(entry_col), np.nan))
 
 
-def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerIndex) -> list[AttributionSlice]:
+def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerIndex) -> SliceColumns:
     """attribute() on trace columns and an ownership index; a repeated (node, ts, pid) counts as its last."""
     import numpy as np
 
+    out = SliceColumns()
     if not len(procs):
-        return []
+        return out
     series: dict[str, list] = {}  # node -> (kind, index, ts, w) per cpu or gpu series, by kind and index
     for (node, _), source, ts, w in sorted(
         (s for s in zip(power.keys, power.sources, power.ts, power.w) if s[1].kind in (CPU, GPU)),
@@ -293,12 +431,10 @@ def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerInde
     order = order[np.append(~repeated, True)]  # lexsort is stable: keep the last copy
     columns = {"proc": proc, "ts": ts, "gpu": np.frombuffer(procs.gpu, dtype=np.int32)}
     columns.update((k, np.frombuffer(getattr(procs, k))) for k in ("cpu", "sm", "mem"))
-    out: list[AttributionSlice] = []
     with np.errstate(over="ignore", invalid="ignore"):  # _node_slices reports power beyond the float range
         for chunk in np.split(order, np.flatnonzero(np.diff(node[order])) + 1):
             name = procs.nodes[procs.node_of[proc[chunk[0]]]]
-            rows = {k: v[chunk] for k, v in columns.items()}
-            out.extend(_node_slices(name, rows, series.get(name, []), owners.get(name), procs))
+            _node_slices(out, name, chunk, columns, series.get(name, []), owners.get(name), procs)
     return out
 
 
@@ -322,7 +458,7 @@ def attribute(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     power, procs = PowerColumns.of(bundle.power), ProcColumns.of(bundle.procs)
-    return attribute_columns(power, procs, ownership_index(timelines))
+    return attribute_columns(power, procs, ownership_index(timelines)).slices()
 
 
 def _gap_rule(max_gap_s: float) -> Callable[[float], bool]:
@@ -333,14 +469,15 @@ def _gap_rule(max_gap_s: float) -> Callable[[float], bool]:
 
 
 def integrate_energy(
-    slices: Sequence[AttributionSlice], max_gap_s: float = 10.0
+    slices: SliceColumns | Sequence[AttributionSlice], max_gap_s: float = 10.0
 ) -> dict[int, JobEnergy]:
     """Integrate slice power into per-job energy (piecewise-constant).
 
     Slices longer than max_gap_s are monitoring gaps: they are excluded
     here and show up in slice_coverage instead.  The UNATTRIBUTED
     pseudo-job's energy is returned under job id 0.  Joules accumulate
-    per job and convert to kWh once at the end (1 kWh = 3.6e6 J).
+    per job, slice by slice in (node, t0) order, and convert to kWh once
+    at the end (1 kWh = 3.6e6 J).
 
     Raises:
         OverlappingSlices: two slices on one node overlap in time.
@@ -348,39 +485,44 @@ def integrate_energy(
         ValueError: max_gap_s is not positive.
     """
     is_gap = _gap_rule(max_gap_s)
-    ordered = sorted(slices, key=lambda s: (s.node_id, s.interval.t0))
-    last_end: dict[str, float] = {}
-    for s in ordered:
-        prev = last_end.get(s.node_id)
-        if prev is not None and s.interval.t0 < prev:
-            raise OverlappingSlices(s.node_id, s.interval.t0)
-        last_end[s.node_id] = s.interval.t1
+    cols = _columns(slices)
+    nodes, node, t0, t1, start = cols.nodes, cols.node, cols.t0, cols.t1, cols.start
+    ordered = sorted(range(len(cols)), key=lambda i: (nodes[node[i]], t0[i]))
+    last_end: dict[int, float] = {}
+    for i in ordered:
+        prev = last_end.get(node[i])
+        if prev is not None and t0[i] < prev:
+            raise OverlappingSlices(nodes[node[i]], t0[i])
+        last_end[node[i]] = t1[i]
 
-    acc: dict[int, list] = {}  # job -> [cpu_j, gpu_j, ext_j, ext_seen]
+    acc: dict[int, list] = {}  # job number -> [cpu_j, gpu_j, ext_j, ext_seen]
+    ids = cols.jobs + [UNATTRIBUTED_JOB]
+    unattributed = cols._job_no.get(UNATTRIBUTED_JOB, len(cols.jobs))  # job 0's bucket, if it has entries
 
-    def bucket(job_id: int) -> list:
-        return acc.setdefault(job_id, [0.0, 0.0, 0.0, False])
+    def bucket(j: int) -> list:
+        return acc.setdefault(j, [0.0, 0.0, 0.0, False])
 
-    for s in ordered:
-        dt = s.interval.duration_s
+    job, cpu, gpu, ext = cols.job, cols.cpu, cols.gpu, cols.ext
+    for i in ordered:
+        dt = t1[i] - t0[i]
         if is_gap(dt):
             continue
-        for job_id in sorted(s.per_job):
-            p = s.per_job[job_id]
-            b = bucket(job_id)
-            b[0] += p.cpu_w * dt
-            b[1] += p.gpu_w * dt
-            if p.ext_w is not None:
-                b[2] += p.ext_w * dt
+        for e in range(start[i], start[i + 1]):
+            b = bucket(job[e])
+            b[0] += cpu[e] * dt
+            b[1] += gpu[e] * dt
+            if ext[e] == ext[e]:
+                b[2] += ext[e] * dt
                 b[3] = True
-        b = bucket(UNATTRIBUTED_JOB)
-        b[0] += s.unattributed_cpu_w * dt
-        b[1] += s.unattributed_gpu_w * dt
-        if s.unattributed_ext_w is not None:
-            b[2] += s.unattributed_ext_w * dt
+        b = bucket(unattributed)
+        b[0] += cols.unattr_cpu[i] * dt
+        b[1] += cols.unattr_gpu[i] * dt
+        if cols.unattr_ext[i] == cols.unattr_ext[i]:
+            b[2] += cols.unattr_ext[i] * dt
             b[3] = True
 
-    for job_id, vals in sorted(acc.items()):
+    totals = sorted((ids[j], vals) for j, vals in acc.items())
+    for job_id, vals in totals:
         if not all(map(isfinite, vals[:3])):
             who = "unattributed power" if job_id == UNATTRIBUTED_JOB else f"job {job_id}"
             raise WattscopeError(f"energy of {who} is beyond the float range")
@@ -391,79 +533,91 @@ def integrate_energy(
             gpu_kwh=vals[1] / J_PER_KWH,
             ext_kwh=vals[2] / J_PER_KWH if vals[3] else None,
         )
-        for job_id, vals in sorted(acc.items())
+        for job_id, vals in totals
     }
 
 
 def apply_calibration(
-    model: CalibrationModel, slices: Sequence[AttributionSlice]
-) -> list[AttributionSlice]:
-    """Project slices into wall-power terms: ext_w = k * (cpu_w + gpu_w).
+    model: CalibrationModel | Mapping[str, CalibrationModel], slices: SliceColumns | Sequence[AttributionSlice]
+) -> SliceColumns | list[AttributionSlice]:
+    """Project slices into wall-power terms: ext_w = k * (cpu_w + gpu_w), with k of the slice's node.
 
-    Jobs and the unattributed bucket scale alike, so totals stay conserved.
+    model is one node's model, or a mapping of node id to model.  Jobs and
+    the unattributed bucket scale alike, so totals stay conserved.  Columns
+    give columns, which share every column but the ext watts; a sequence
+    of slices gives a list of slices.
 
     Raises:
         NodeMismatch: a slice belongs to a different node than the model.
+        WattscopeError: the mapping has no model for a slice's node.
     """
-    out: list[AttributionSlice] = []
-    for s in slices:
-        if s.node_id != model.node_id:
-            raise NodeMismatch(model.node_id, s.node_id)
-        per_job = {
-            job_id: JobPower(p.cpu_w, p.gpu_w, ext_w=model.k * (p.cpu_w + p.gpu_w))
-            for job_id, p in s.per_job.items()
-        }
-        out.append(
-            AttributionSlice(
-                s.interval,
-                s.node_id,
-                per_job,
-                s.unattributed_cpu_w,
-                s.unattributed_gpu_w,
-                unattributed_ext_w=model.k * (s.unattributed_cpu_w + s.unattributed_gpu_w),
-            )
-        )
-    return out
+    models = model if isinstance(model, Mapping) else {model.node_id: model}
+    cols = _columns(slices)
+    k_of = []
+    for name in cols.nodes:  # in the order of the slices, so the first uncovered slice is named
+        if name not in models:
+            if models is model:
+                raise WattscopeError(f"no calibration model for node {name!r}")
+            raise NodeMismatch(model.node_id, name)
+        k_of.append(models[name].k)
+    k_of_entry = chain.from_iterable(repeat(k_of[n], size) for n, size in zip(cols.node, _row_sizes(cols)))
+    out = cols._with_ext(
+        array("d", (k_of[n] * (c + g) for n, c, g in zip(cols.node, cols.unattr_cpu, cols.unattr_gpu))),
+        array("d", (k * (c + g) for k, c, g in zip(k_of_entry, cols.cpu, cols.gpu))),
+    )
+    return out if slices is cols else out.slices()
 
 
-def slice_coverage(slices: Sequence[AttributionSlice], max_gap_s: float = 10.0) -> CoverageStats:
+def _row_sizes(cols: SliceColumns) -> Iterator[int]:
+    return map(int.__rsub__, cols.start, islice(cols.start, 1, None))
+
+
+def slice_coverage(slices: SliceColumns | Sequence[AttributionSlice], max_gap_s: float = 10.0) -> CoverageStats:
     """Report how much slice time integrate_energy keeps vs excludes."""
     is_gap = _gap_rule(max_gap_s)
+    cols = _columns(slices)
     covered = excluded = 0.0
     n_excluded = 0
-    for s in slices:
-        dt = s.interval.duration_s
+    for t0, t1 in zip(cols.t0, cols.t1):
+        dt = t1 - t0
         if is_gap(dt):
             excluded += dt
             n_excluded += 1
         else:
             covered += dt
-    return CoverageStats(covered, excluded, len(slices), n_excluded)
+    return CoverageStats(covered, excluded, len(cols), n_excluded)
 
 
-def format_slice_line(s: AttributionSlice) -> str:
-    jobs_obj: dict[str, dict] = {}
-    for job_id in sorted(s.per_job):
-        p = s.per_job[job_id]
-        entry: dict = {"cpu_w": p.cpu_w, "gpu_w": p.gpu_w}
-        if p.ext_w is not None:
-            entry["ext_w"] = p.ext_w
-        jobs_obj[str(job_id)] = entry
-    obj: dict = {
-        "node": s.node_id,
-        "t0": s.interval.t0,
-        "t1": s.interval.t1,
-        "jobs": jobs_obj,
-        "unattr_cpu_w": s.unattributed_cpu_w,
-        "unattr_gpu_w": s.unattributed_gpu_w,
-    }
-    if s.unattributed_ext_w is not None:
-        obj["unattr_ext_w"] = s.unattributed_ext_w
-    return _dumps(obj)
+def _slice_lines(cols: SliceColumns) -> Iterator[str]:
+    """Each slice as a JSON line, with the bytes _dumps writes for its object.
+
+    A float is written as float.__repr__, as the json module writes it, and
+    a node name once, by _dumps; a NaN or infinity that would be written
+    raises the ValueError that _dumps raises.
+    """
+    for column in (cols.t0, cols.t1, cols.unattr_cpu, cols.unattr_gpu, cols.cpu, cols.gpu):
+        if not all(map(isfinite, column)):
+            _dumps(next(v for v in column if not isfinite(v)))
+    for column in (cols.unattr_ext, cols.ext):  # NaN marks an absent ext watt here
+        if any(map(isinf, column)):
+            _dumps(next(v for v in column if isinf(v)))
+    names = [_dumps(node) for node in cols.nodes]
+    keys = [f'"{job_id}":{{"cpu_w":' for job_id in cols.jobs]
+    entries = zip(cols.job, cols.cpu, cols.gpu, cols.ext)
+    for n, t0, t1, u_cpu, u_gpu, u_ext, size in zip(
+        cols.node, cols.t0, cols.t1, cols.unattr_cpu, cols.unattr_gpu, cols.unattr_ext, _row_sizes(cols)
+    ):
+        jobs = ",".join([
+            f'{keys[j]}{cpu_w!r},"gpu_w":{gpu_w!r}}}' if ext_w != ext_w
+            else f'{keys[j]}{cpu_w!r},"gpu_w":{gpu_w!r},"ext_w":{ext_w!r}}}'
+            for j, cpu_w, gpu_w, ext_w in islice(entries, size)
+        ])
+        tail = "}\n" if u_ext != u_ext else f',"unattr_ext_w":{u_ext!r}}}\n'
+        yield f'{{"node":{names[n]},"t0":{t0!r},"t1":{t1!r},"jobs":{{{jobs}}},"unattr_cpu_w":{u_cpu!r},"unattr_gpu_w":{u_gpu!r}{tail}'
 
 
-def serialize_slices(slices: Iterable[AttributionSlice]) -> str:
-    return "".join(format_slice_line(s) + "\n" for s in slices)
+def serialize_slices(slices: SliceColumns | Iterable[AttributionSlice]) -> str:
+    return "".join(_slice_lines(_columns(slices)))
 
 
 def _watt_field(obj: dict, key: str, line_no: int, required: bool = True) -> float | None:
@@ -473,9 +627,9 @@ def _watt_field(obj: dict, key: str, line_no: int, required: bool = True) -> flo
     return v
 
 
-def parse_slices(lines: Iterable[str]) -> list[AttributionSlice]:
-    """Parse serialized attribution slices (the attribute subcommand's output)."""
-    out: list[AttributionSlice] = []
+def read_slices(lines: Iterable[str]) -> SliceColumns:
+    """Read serialized attribution slices (the attribute subcommand's output) into columns."""
+    cols = SliceColumns()
     for line_no, obj in iter_records(lines):
         node = _field_str(obj, "node", line_no)
         t0 = _field_num(obj, "t0", line_no)
@@ -485,7 +639,7 @@ def parse_slices(lines: Iterable[str]) -> list[AttributionSlice]:
         raw_jobs = obj.get("jobs")
         if not isinstance(raw_jobs, dict):
             raise MalformedLine(line_no, "missing or invalid 'jobs'")
-        per_job: dict[int, JobPower] = {}
+        entries = []
         for key, entry in raw_jobs.items():
             try:
                 job_id = int(key)
@@ -495,19 +649,21 @@ def parse_slices(lines: Iterable[str]) -> list[AttributionSlice]:
                 raise MalformedLine(line_no, f"invalid job key {key!r}") from None
             if job_id < 1 or not isinstance(entry, dict):
                 raise MalformedLine(line_no, f"invalid job entry for {key!r}")
-            per_job[job_id] = JobPower(
-                cpu_w=_watt_field(entry, "cpu_w", line_no),
-                gpu_w=_watt_field(entry, "gpu_w", line_no),
-                ext_w=_watt_field(entry, "ext_w", line_no, required=False),
-            )
-        out.append(
-            AttributionSlice(
-                Interval(t0, t1),
-                node,
-                per_job,
-                unattributed_cpu_w=_watt_field(obj, "unattr_cpu_w", line_no),
-                unattributed_gpu_w=_watt_field(obj, "unattr_gpu_w", line_no),
-                unattributed_ext_w=_watt_field(obj, "unattr_ext_w", line_no, required=False),
-            )
+            entries.append((
+                job_id,
+                _watt_field(entry, "cpu_w", line_no),
+                _watt_field(entry, "gpu_w", line_no),
+                _watt_field(entry, "ext_w", line_no, required=False),
+            ))
+        cols._append(
+            node, t0, t1, entries,
+            _watt_field(obj, "unattr_cpu_w", line_no),
+            _watt_field(obj, "unattr_gpu_w", line_no),
+            _watt_field(obj, "unattr_ext_w", line_no, required=False),
         )
-    return out
+    return cols
+
+
+def parse_slices(lines: Iterable[str]) -> list[AttributionSlice]:
+    """Parse serialized attribution slices; read_slices(lines).slices()."""
+    return read_slices(lines).slices()

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 from .errors import MalformedLine, TraceError, WattscopeError
 
 if TYPE_CHECKING:
+    from .attribution import SliceColumns
     from .calibration import CalibrationModel
     from .jobs import JobRecord, OwnerIndex
 
@@ -144,10 +145,19 @@ def _parse_file(path: str, parser_fn: Callable, *args):
 
 
 def _load_capacities(path: str) -> dict[tuple[str, int], float]:
-    """Read {"node": {"gpu_index": capacity_mib, ...}, ...}."""
+    """Read {"node": {"gpu_index": capacity_mib, ...}, ...}; a key repeated within an object is an error."""
+
+    def unique(pairs: list) -> dict:  # json.load alone would keep the last of two equal keys
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise WattscopeError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
         except (ValueError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deeply
@@ -187,20 +197,22 @@ def _owners(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = None) -
     return owners
 
 
-def _load_slices(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = None):
+def _load_slices(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = None) -> SliceColumns:
     """Read saved slices, or compute them; jobs, when given, is the parsed --jobs file."""
-    from .attribution import attribute_columns, parse_slices
+    if args.slices is not None:
+        from .attribution import read_slices
+
+        return _parse_file(args.slices, read_slices)
+    from .attribution import attribute_columns
     from .traces import read_power_trace, read_proc_trace
 
-    if args.slices is not None:
-        return _parse_file(args.slices, parse_slices)
     _require(args, ("power", "proc", "pidmap", "jobs"), "computing slices")
     power = _parse_file(args.power, read_power_trace)
     procs = _parse_file(args.proc, read_proc_trace)
     return attribute_columns(power, procs, _owners(args, jobs))
 
 
-def _apply_models(slices, path: str):
+def _apply_models(slices: SliceColumns, path: str) -> SliceColumns:
     """Calibrate slices with the --model file, which must cover every node they are on."""
     from .attribution import apply_calibration
     from .calibration import parse_models
@@ -210,13 +222,10 @@ def _apply_models(slices, path: str):
         if m.node_id in by_node:
             raise WattscopeError(f"more than one calibration model for node {m.node_id!r}")
         by_node[m.node_id] = m
-    grouped: dict[str, list] = {}
-    for s in slices:
-        grouped.setdefault(s.node_id, []).append(s)
-    missing = sorted(grouped.keys() - by_node.keys())
+    missing = sorted(set(slices.nodes) - by_node.keys())
     if missing:  # their ext energy would count as 0 and skew every ext share
         raise WattscopeError(f"{path}: no calibration model for node(s) {', '.join(map(repr, missing))}")
-    return [s for node in sorted(grouped) for s in apply_calibration(by_node[node], grouped[node])]
+    return apply_calibration(by_node, slices)
 
 
 def _cmd_validate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
@@ -231,9 +240,9 @@ def _cmd_validate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         "external": partial(read_power_trace, expected_kind=EXT),
     }
     if args.slices is not None:  # the only input that needs attribution loaded
-        from .attribution import parse_slices
+        from .attribution import read_slices
 
-        readers["slices"] = parse_slices
+        readers["slices"] = read_slices
     parts = []
     for name, reader in readers.items():
         path = getattr(args, name)
@@ -258,9 +267,8 @@ def _cmd_attribute(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    from .analytics import _render_csv, _render_table
     from .calibration import fit_nodes, serialize_models
-    from .traces import EXT, read_power_trace
+    from .traces import EXT, _render_csv, _render_table, read_power_trace
 
     _require(args, ("power", "external"), "calibrate")
     software = _parse_file(args.power, read_power_trace)

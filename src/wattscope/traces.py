@@ -51,6 +51,27 @@ DEFAULT_BINS = 20
 J_PER_KWH = 3.6e6
 
 
+# tables for calibrate and the reports, here so that calibrate need not load analytics
+def _render_table(header: list[str], rows: list[list[str]]) -> str:
+    widths = [max(len(cell) for cell in col) for col in zip(header, *rows)] if rows else [len(h) for h in header]
+    lines = []
+    for cells in [header] + rows:
+        padded = [cells[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(cells[1:], widths[1:])]
+        lines.append("  ".join(padded).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _render_csv(header: list[str], rows: list[list[str]]) -> str:
+    import csv  # only csv output needs it
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def canonical_ts(value: float) -> float:
     """Quantize a timestamp to the canonical millisecond grid."""
     return round(float(value), TS_DECIMALS)

@@ -530,6 +530,18 @@ class TestGpuHist:
         code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", caps)
         assert (code, out, err) == (1, "", f"error: WattscopeError: {caps}: invalid gpu index '01'\n")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"n1": {"0": 16000.0, "1": 16000.0}, "n1": {"0": 4000.0}}', "n1"),
+         ('{"n1": {"0": 4000.0, "1": 16000.0, "0": 16000.0}}', "0")],
+        ids=["node", "gpu"],
+    )
+    def test_repeated_key_is_rejected(self, gpu_fixture, tmp_path, text, key):
+        # json.load keeps the last of two equal keys, which would drop the first capacity without a word
+        caps = write_lines(tmp_path / "caps.json", [text])
+        code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", caps)
+        assert (code, out, err) == (1, "", f"error: WattscopeError: {caps}: repeated key {key!r}\n")
+
     @pytest.mark.parametrize("capacity", ["NaN", "Infinity", "1e999", "9" * 400], ids=["nan", "inf", "1e999", "int400"])
     def test_capacity_beyond_the_float_range_is_rejected(self, gpu_fixture, tmp_path, capacity):
         # NaN binned every sample of its GPU at 100 %, an infinity at 0 %, and a 400-digit integer overflowed

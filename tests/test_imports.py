@@ -5,7 +5,7 @@ uses is paid on each call.  `import wattscope` loads none of the package's
 modules; each public name loads its module on first access, and the CLI
 imports each module in the command that runs it, so validate reads with
 traces and jobs alone.  calibrate and report gpu-hist never load
-attribution: calibrate fits and prints with calibration and analytics, and
+attribution: calibrate fits and prints with calibration and traces, and
 gpu-hist reads proc, and the pidmap and jobs for --per-job-mean.  numpy is
 loaded only by the attribution split, that is by attribute and by report on
 raw traces; calibrate sums with math.fsum and interpolates with the stdlib,
@@ -123,7 +123,7 @@ def test_calibrate_and_gpu_hist_never_load_attribution(tmp_path):
     calibrate = ["calibrate", "--power", f["power"], "--external", f["external"], "--format", "csv"]
     gpu_hist = ["report", "gpu-hist", "--proc", f["proc"], "--per-job-mean", "--pidmap", f["pidmap"], "--jobs", f["jobs"]]
     for argv, expected in (
-        (calibrate, ["analytics", "calibration", "cli", "errors", "traces"]),
+        (calibrate, ["calibration", "cli", "errors", "traces"]),
         (gpu_hist, ["analytics", "cli", "errors", "jobs", "traces"]),
     ):
         steps, modules = probe([("command", argv)])

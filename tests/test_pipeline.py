@@ -9,8 +9,10 @@ The metamorphic tests change the input in a way whose effect on the
 output is known exactly: reordering lines across series and nodes changes
 nothing, doubling every watt reading doubles every watt field, splitting
 the proc trace at a snapshot instant splits the slices, relabelling pids
-in order changes nothing, and renaming nodes in order renames them in the
-output and changes nothing else.
+in order changes nothing, renaming nodes in order renames them in the
+output and changes nothing else, renumbering jobs in order renumbers them
+in the slices and leaves the status report byte-identical, and unmapping
+one job moves exactly its CPU energy to the unattributed bucket.
 
 A float reference, one slice at a time, pins the order of every sum
 (pids ascending, then job ids, then GPU indices), so that the output is
@@ -21,6 +23,7 @@ import io
 import json
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -304,6 +307,77 @@ class TestMetamorphic:
             return line.replace(json.dumps(node), json.dumps(new[node]), 1)
 
         assert got == "".join(rename(line) + "\n" for line in base.splitlines())
+
+    @settings(max_examples=25)
+    @given(scenarios, st.randoms())
+    def test_renumbering_jobs_in_order_renumbers_the_output(self, params, rng):
+        # ids of several lengths, so that an order of job keys as text would differ from the order of ids
+        sc = make_scenario(params)
+        ids = sorted(j.job_id for j in sc["jobs"])
+        new = dict(zip(ids, sorted(rng.sample(range(1, 10**7), len(ids)))))
+        renumbered = {
+            **sc,
+            "jobs": [j._replace(job_id=new[j.job_id]) for j in sc["jobs"]],
+            "pidmap": [s._replace(assignments=tuple((pid, new[j]) for pid, j in s.assignments)) for s in sc["pidmap"]],
+        }
+        outputs = []
+        for scenario in (sc, renumbered):
+            with tempfile.TemporaryDirectory() as tmp:
+                paths = write_scenario(scenario, Path(tmp))
+                outputs.append((cli_attribute(paths), cli_status_json(paths)))
+        (base, base_status), (got, got_status) = outputs
+        # a job key is the only quoted integer followed by an object with cpu_w
+        assert got == re.sub(r'"(\d+)":\{"cpu_w"', lambda m: '"%d":{"cpu_w"' % new[int(m[1])], base)
+        assert got_status == base_status
+
+    @settings(max_examples=25)
+    @given(scenarios, st.randoms())
+    def test_unmapping_a_job_moves_its_cpu_energy_to_unattributed(self, params, rng):
+        # its pids keep their cpu-time deltas, which now count for nobody; the GPU split is not
+        # checked, since its equal tier counts the jobs present
+        sc = make_scenario(params)
+        mapped = sorted({j for s in sc["pidmap"] for _, j in s.assignments})
+        assume(mapped)
+        gone = rng.choice(mapped)
+        unmapped = {  # every snapshot stays, so the other pids keep their owners over the same spans
+            **sc,
+            "pidmap": [s._replace(assignments=tuple(a for a in s.assignments if a[1] != gone)) for s in sc["pidmap"]],
+        }
+        energies, statuses = [], []
+        for scenario in (sc, unmapped):
+            with tempfile.TemporaryDirectory() as tmp:
+                paths = write_scenario(scenario, Path(tmp))
+                energies.append(cpu_joules(cli_attribute(paths)))
+                statuses.append({r["status"]: r["cpu_kwh"] for r in json.loads(cli_status_json(paths))["rows"]})
+        before, after = energies
+        assert set(after) - {0} == set(before) - {0, gone}
+        moved = before.get(gone, 0.0)
+        assert math.isclose(after.get(0, 0.0), before.get(0, 0.0) + moved, rel_tol=REL, abs_tol=1e-9)
+        for job_id, joules in after.items():
+            if job_id != 0:
+                assert math.isclose(joules, before[job_id], rel_tol=REL, abs_tol=1e-9)
+        status_of = {j.job_id: j.status for j in sc["jobs"]}
+        for status, kwh in statuses[1].items():
+            want = statuses[0][status] - (moved / J_PER_KWH if status == status_of[gone] else 0.0)
+            assert math.isclose(kwh, want, rel_tol=REL, abs_tol=REL * statuses[0][status] + 1e-18)
+
+
+def cli_status_json(paths) -> str:
+    return cli("report", "status", *(f for name in ("power", "proc", "pidmap", "jobs") for f in (f"--{name}", paths[name])),
+               "--format", "json")
+
+
+def cpu_joules(text: str) -> dict[int, float]:
+    """CPU joules per job in a slices text, unattributed under 0, over slices that are not gaps."""
+    acc: dict[int, float] = {}
+    for row in map(json.loads, text.splitlines()):
+        dt = row["t1"] - row["t0"]
+        if dt > GAP_DEFAULT_S:
+            continue
+        for job, entry in row["jobs"].items():
+            acc[int(job)] = acc.get(int(job), 0.0) + entry["cpu_w"] * dt
+        acc[0] = acc.get(0, 0.0) + row["unattr_cpu_w"] * dt
+    return acc
 
 
 def ordered_float_attribute(power, procs, pidmap):
