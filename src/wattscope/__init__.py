@@ -15,8 +15,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "attribution": (
         "AttributionSlice", "CoverageStats", "Interval", "JobEnergy", "JobPower", "SliceColumns", "apply_calibration",
-        "attribute", "cpu_shares", "gpu_shares", "integrate_energy", "parse_slices", "read_slices", "serialize_slices",
-        "slice_coverage",
+        "attribute", "integrate_energy", "parse_slices", "read_slices", "serialize_slices", "slice_coverage",
     ),
     "calibration": ("CalibrationModel", "fit_nodes", "fit_scale", "parse_models", "serialize_models"),
     "analytics": (
@@ -24,17 +23,16 @@ _EXPORTS = {
         "aggregate_by_user", "gpu_histogram", "render_report",
     ),
     "errors": (
-        "CpuTimeRegression", "DegenerateInput", "DuplicatePid", "EmptySeries", "MalformedLine", "MissingCapacity",
+        "CpuTimeRegression", "DegenerateInput", "DuplicatePid", "MalformedLine", "MissingCapacity",
         "MultiNodeJob", "NegativeDelta", "NegativePower", "NodeMismatch", "NonMonotonicTimestamp",
         "OutOfRangeUtilization", "OverlappingSlices", "TraceError", "UnknownJob", "WattscopeError",
     ),
     "jobs": (
-        "UNATTRIBUTED_JOB", "JobRecord", "PidMapSnapshot", "PidTimeline", "build_timelines", "parse_jobs",
-        "parse_pidmap", "pid_owner", "serialize_jobs", "serialize_pidmap",
+        "UNATTRIBUTED_JOB", "JobRecord", "PidMapSnapshot", "PidTimeline", "build_timelines", "parse_jobs", "parse_pidmap",
     ),
     "traces": (
-        "PowerSample", "ProcSnapshot", "Source", "TraceBundle", "canonical_ts", "parse_power_trace",
-        "parse_proc_trace", "parse_source", "resample_to_grid", "serialize_power_trace", "serialize_proc_trace",
+        "PowerSample", "ProcSnapshot", "Source", "TraceBundle", "canonical_ts", "parse_power_trace", "parse_proc_trace",
+        "parse_source",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

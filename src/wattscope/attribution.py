@@ -221,71 +221,6 @@ def _split(
     return shares, has, np.where(ok, 0.0 + np.where(has[:, 0], shares[:, 0], 0.0), power)
 
 
-def _split_one(sums: Mapping[int, float], power: float, mem: Mapping | None = None) -> tuple[dict, float]:
-    """_split of one slice; with mem, sums are sm_pct and the GPU fallback applies."""
-    import numpy as np
-
-    jobs = [UNATTRIBUTED_JOB] + sorted(j for j in sums if j != UNATTRIBUTED_JOB)
-    present = np.array([[j in sums for j in jobs]])
-    weights = np.array([[sums.get(j, 0.0) for j in jobs]], dtype=float)
-    mem_w = None if mem is None else np.array([[mem.get(j, 0.0) for j in jobs]], dtype=float)
-    shares, has, unattr = _split(weights, present, np.array([power], dtype=float), mem_w)
-    per_job = {j: w for j, w, h in zip(jobs, shares[0].tolist(), has[0].tolist()) if h and j != UNATTRIBUTED_JOB}
-    return per_job, float(unattr[0])
-
-
-def cpu_shares(deltas: Mapping[int, float], node_power_w: float) -> tuple[dict[int, float], float]:
-    """Split node CPU power proportionally to per-job cpu-time deltas.
-
-    The UNATTRIBUTED pseudo-job's delta routes its share to the second
-    return value rather than the per-job map.  When every delta is zero
-    there is no evidence of who worked, so all power is unattributed.
-
-    Returns:
-        (per-job watts, unattributed watts).
-
-    Raises:
-        NegativeDelta: some job's delta is negative.
-        ValueError: node_power_w is negative.
-    """
-    if node_power_w < 0:
-        raise ValueError("node power must be non-negative")
-    for job_id in sorted(deltas):
-        if deltas[job_id] < 0:
-            raise NegativeDelta(job_id)
-    return _split_one(deltas, node_power_w)
-
-
-def gpu_shares(
-    procs_on_gpu: Sequence[tuple[int, float | None, float | None]],
-    gpu_power_w: float,
-) -> tuple[dict[int, float], float]:
-    """Split one GPU's power among the jobs with processes on it.
-
-    Args:
-        procs_on_gpu: (job_id, sm_pct, mem_mib) per process; job_id 0 marks
-            a process owned by no job.  Absent readings are None.
-        gpu_power_w: the GPU's power over the interval.
-
-    Weights are per-job summed sm_pct; if all sm_pct are zero or absent,
-    per-job summed mem_mib; if those are degenerate too, an equal split
-    among the jobs present.  No processes at all means the GPU burned
-    power nobody asked for: everything is unattributed.
-    """
-    if gpu_power_w < 0:
-        raise ValueError("gpu power must be non-negative")
-    sm_by_job: dict[int, float] = {}
-    mem_by_job: dict[int, float] = {}
-    for job_id, sm_pct, mem_mib in procs_on_gpu:
-        if sm_pct is not None and not 0.0 <= sm_pct <= 100.0:
-            raise ValueError(f"sm_pct {sm_pct} outside [0, 100]")
-        if mem_mib is not None and mem_mib < 0:
-            raise ValueError(f"negative mem_mib {mem_mib}")
-        sm_by_job[job_id] = sm_by_job.get(job_id, 0.0) + (sm_pct or 0.0)
-        mem_by_job[job_id] = mem_by_job.get(job_id, 0.0) + (mem_mib or 0.0)
-    return _split_one(sm_by_job, gpu_power_w, mem_by_job)
-
-
 def _owner_columns(ts: np.ndarray, proc: np.ndarray, owners, pids: list) -> tuple[list, np.ndarray]:
     """The node's job axis [UNATTRIBUTED_JOB, jobs ascending], and each record's column on it under step-hold.
 

@@ -70,11 +70,6 @@ class DuplicatePid(TraceError):
         self.node_id = node_id
 
 
-class EmptySeries(WattscopeError):
-    def __init__(self, detail: str = "cannot resample an empty series"):
-        super().__init__(detail)
-
-
 class UnknownJob(WattscopeError):
     def __init__(self, job_id: int):
         super().__init__(f"job {job_id} referenced but not present in job records")

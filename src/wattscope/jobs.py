@@ -20,7 +20,7 @@ from bisect import bisect_right
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DuplicatePid, MalformedLine, MultiNodeJob, UnknownJob
-from .traces import _dumps, _field_int, _field_num, _field_str, canonical_ts, iter_records
+from .traces import _field_int, _field_num, _field_str, canonical_ts, iter_records
 
 UNATTRIBUTED_JOB = 0
 OwnerIndex = dict  # node -> (sorted snapshot ts list, {pid: job_id} per snapshot)
@@ -164,32 +164,6 @@ def parse_jobs(lines: Iterable[str]) -> list[JobRecord]:
     return records
 
 
-def format_pidmap_line(snap: PidMapSnapshot) -> str:
-    return _dumps({"node": snap.node_id, "ts": snap.ts, "map": [list(pair) for pair in snap.assignments]})
-
-
-def format_job_line(job: JobRecord) -> str:
-    return _dumps(
-        {
-            "job": job.job_id,
-            "user": job.user,
-            "node": job.node_id,
-            "submit": job.t_submit,
-            "start": job.t_start,
-            "end": job.t_end,
-            "status": job.status,
-        }
-    )
-
-
-def serialize_pidmap(snaps: Iterable[PidMapSnapshot]) -> str:
-    return "".join(format_pidmap_line(s) + "\n" for s in snaps)
-
-
-def serialize_jobs(jobs: Iterable[JobRecord]) -> str:
-    return "".join(format_job_line(j) + "\n" for j in jobs)
-
-
 def build_timelines(
     snapshots: Sequence[PidMapSnapshot], jobs: Sequence[JobRecord]
 ) -> dict[int, PidTimeline]:
@@ -233,14 +207,3 @@ def ownership_index(timelines: Mapping[int, PidTimeline]) -> OwnerIndex:
         for ts, pids in timelines[job_id].entries
     )
 
-
-def pid_owner(
-    timelines: Mapping[int, PidTimeline], node_id: str, pid: int, t: float
-) -> int | None:
-    """Return the job owning pid on node_id at time t, or None.
-
-    Step-hold: the assignment in force is the one from the latest snapshot
-    at or before t on that node.  None (no owner) is a meaningful value;
-    such work is charged to the UNATTRIBUTED pseudo-job.
-    """
-    return owner_at(ownership_index(timelines), node_id, pid, t)

@@ -1,4 +1,4 @@
-"""Telemetry trace parsing, serialization and time alignment.
+"""Telemetry trace parsing and time alignment.
 
 Two JSON-lines wire formats are understood, one object per line, UTF-8,
 LF terminated, unknown keys ignored:
@@ -25,14 +25,7 @@ from array import array
 from bisect import bisect_right
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    EmptySeries,
-    MalformedLine,
-    NegativePower,
-    NonMonotonicTimestamp,
-    OutOfRangeUtilization,
-    CpuTimeRegression,
-)
+from .errors import CpuTimeRegression, MalformedLine, NegativePower, NonMonotonicTimestamp, OutOfRangeUtilization
 
 # canonical timestamp precision: milliseconds
 TS_DECIMALS = 3
@@ -472,29 +465,6 @@ def parse_proc_trace(lines: Iterable[str]) -> list[ProcSnapshot]:
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-def format_power_line(sample: PowerSample) -> str:
-    return _dumps({"node": sample.node_id, "src": str(sample.source), "ts": sample.ts, "w": sample.power_w})
-
-
-def format_proc_line(snap: ProcSnapshot) -> str:
-    obj: dict = {"node": snap.node_id, "ts": snap.ts, "pid": snap.pid, "cpu_s": snap.cpu_time_s}
-    if snap.gpu_index is not None:
-        obj["gpu"] = snap.gpu_index
-    if snap.gpu_sm_pct is not None:
-        obj["sm_pct"] = snap.gpu_sm_pct
-    if snap.gpu_mem_mib is not None:
-        obj["mem_mib"] = snap.gpu_mem_mib
-    return _dumps(obj)
-
-
-def serialize_power_trace(samples: Iterable[PowerSample]) -> str:
-    return "".join(format_power_line(s) + "\n" for s in samples)
-
-
-def serialize_proc_trace(snaps: Iterable[ProcSnapshot]) -> str:
-    return "".join(format_proc_line(s) + "\n" for s in snaps)
-
-
 def _interp(grid: Sequence[float], ts: Sequence[float], w: Sequence[float]) -> list[float]:
     """np.interp(grid, ts, w), bit for bit, for a grid within [ts[0], ts[-1]] and finite w.
 
@@ -512,22 +482,3 @@ def _interp(grid: Sequence[float], ts: Sequence[float], w: Sequence[float]) -> l
             out.append((w[j + 1] - w[j]) / (ts[j + 1] - ts[j]) * (x - ts[j]) + w[j])
     return out
 
-
-def resample_to_grid(series: Sequence[PowerSample], grid_ts: Sequence[float]) -> list[float | None]:
-    """Linearly interpolate a single power series onto arbitrary timestamps.
-
-    Grid points outside [first_ts, last_ts] of the series are returned as
-    None ("missing") and must be excluded downstream; interpolation never
-    extrapolates.
-
-    Raises:
-        EmptySeries: the series has no samples.
-        ValueError: the series is not sorted by strictly increasing ts.
-    """
-    if not series:
-        raise EmptySeries()
-    ts = [float(s.ts) for s in series]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("series must be sorted by strictly increasing ts")
-    w = [float(s.power_w) for s in series]
-    return [_interp([t], ts, w)[0] if ts[0] <= t <= ts[-1] else None for t in map(float, grid_ts)]

@@ -43,6 +43,33 @@ def job_record(job_id, node="n1", user="u1", submit=0.0, start=0.0, end=100000.0
     return JobRecord(job_id, user, node, ms(submit), ms(start), ms(end), status)
 
 
+def jsonl(records) -> str:
+    """Power, proc, pidmap or job records as the JSON lines the readers take, written with json.dumps.
+
+    The library writes none of these formats, and the fixtures depend on no
+    library writer; a proc reading that is None is left out, as on the wire.
+    """
+    lines = []
+    for r in records:
+        if isinstance(r, PowerSample):
+            src = r.source.kind if r.source.index is None else f"{r.source.kind}{r.source.index}"
+            obj = {"node": r.node_id, "src": src, "ts": r.ts, "w": r.power_w}
+        elif isinstance(r, ProcSnapshot):
+            obj = {"node": r.node_id, "ts": r.ts, "pid": r.pid, "cpu_s": r.cpu_time_s}
+            for key, value in (("gpu", r.gpu_index), ("sm_pct", r.gpu_sm_pct), ("mem_mib", r.gpu_mem_mib)):
+                if value is not None:
+                    obj[key] = value
+        elif isinstance(r, PidMapSnapshot):
+            obj = {"node": r.node_id, "ts": r.ts, "map": [list(pair) for pair in r.assignments]}
+        elif isinstance(r, JobRecord):
+            obj = {"job": r.job_id, "user": r.user, "node": r.node_id, "submit": r.t_submit, "start": r.t_start,
+                   "end": r.t_end, "status": r.status}
+        else:
+            raise TypeError(f"no wire format for {type(r).__name__}")
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines)
+
+
 # ---------------------------------------------------------------- oracles
 
 

@@ -30,15 +30,12 @@ from wattscope import (
     parse_power_trace,
     parse_proc_trace,
     parse_slices,
-    serialize_jobs,
-    serialize_pidmap,
-    serialize_power_trace,
-    serialize_proc_trace,
 )
 from helpers import (
     grid_fit_oracle,
     hist_counts_oracle,
     job_record,
+    jsonl,
     naive_attribute,
     random_scenario,
     write_status_split_fixture,
@@ -219,14 +216,9 @@ def test_6_cli_determinism(capsys, tmp_path):
         fixture = write_status_split_fixture(tmp_path)
         sc = random_scenario(random.Random(66), n_jobs=6, n_gpus=2, n_intervals=150, n_nodes=3)
         paths = {}
-        for name, text in (
-            ("power", serialize_power_trace(sc["power"])),
-            ("proc", serialize_proc_trace(sc["procs"])),
-            ("pidmap", serialize_pidmap(sc["pidmap"])),
-            ("jobs", serialize_jobs(sc["jobs"])),
-        ):
+        for name, records in (("power", sc["power"]), ("proc", sc["procs"]), ("pidmap", sc["pidmap"]), ("jobs", sc["jobs"])):
             p = tmp_path / f"mn_{name}.jsonl"
-            p.write_text(text, encoding="utf-8")
+            p.write_text(jsonl(records), encoding="utf-8")
             paths[name] = str(p)
 
         def invoke(*argv):

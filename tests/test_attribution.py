@@ -7,25 +7,30 @@ from hypothesis import example, given, strategies as st
 
 from wattscope import (
     AttributionSlice,
+    CpuTimeRegression,
     Interval,
     JobPower,
     MalformedLine,
     NegativeDelta,
+    NegativePower,
+    OutOfRangeUtilization,
     OverlappingSlices,
     TraceBundle,
     attribute,
     build_timelines,
-    cpu_shares,
-    gpu_shares,
     integrate_energy,
     parse_slices,
     serialize_slices,
     slice_coverage,
 )
+from wattscope.attribution import attribute_columns
+from wattscope.jobs import read_pidmap
+from wattscope.traces import read_power_trace, read_proc_trace
 from helpers import (
     frac_shares,
     gpu_shares_oracle,
     job_record,
+    jsonl,
     naive_attribute,
     pidmap_snap,
     power_sample,
@@ -63,6 +68,43 @@ nonneg = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 delta_maps = st.dictionaries(st.integers(min_value=0, max_value=20), nonneg, min_size=1, max_size=8)
 
 
+def split_one_slice(kind, power_w, procs):
+    """One 10 s slice on node n1, read and split as the CLI does; returns (per-job watts, unattributed watts) of kind.
+
+    The node's one kind series ("cpu0" or "gpu0") reads power_w throughout.
+    procs are (job_id, cpu-time delta, sm_pct, mem_mib), one pid each, seen
+    at both ends with cpu_s 0.0 at the start and, for "gpu", on gpu0 with
+    its readings; job 0 marks a pid that no job owns.  Two more pids, each
+    seen at one end only, give the slice its ends.
+    """
+    gpu = 0 if kind == "gpu" else None
+    power = [power_sample("n1", f"{kind}0", t, power_w) for t in (0.0, 10.0)]
+    start, end, owners = [proc_snap("n1", 0.0, 1, 0.0)], [proc_snap("n1", 10.0, 2, 0.0)], {}
+    for pid, (job_id, delta, sm, mem) in enumerate(procs, start=100):
+        start.append(proc_snap("n1", 0.0, pid, 0.0, gpu, sm, mem))
+        end.append(proc_snap("n1", 10.0, pid, delta, gpu, sm, mem))
+        if job_id:
+            owners[pid] = job_id
+    cols = attribute_columns(
+        read_power_trace(jsonl(power).splitlines()),
+        read_proc_trace(jsonl(start + end).splitlines()),
+        read_pidmap(jsonl([pidmap_snap("n1", 0.0, owners)]).splitlines()),
+    )
+    assert (len(cols), cols.t0[0], cols.t1[0]) == (1, 0.0, 10.0)
+    watts, unattributed = (cols.cpu, cols.unattr_cpu) if kind == "cpu" else (cols.gpu, cols.unattr_gpu)
+    return {cols.jobs[j]: w for j, w in zip(cols.job, watts)}, unattributed[0]
+
+
+def cpu_split(deltas, node_power_w):
+    """The CPU split of one slice: deltas are per-job cpu-time deltas, job 0 for pids no job owns."""
+    return split_one_slice("cpu", node_power_w, [(job_id, delta, None, None) for job_id, delta in deltas.items()])
+
+
+def gpu_split(procs_on_gpu, gpu_power_w):
+    """The split of one GPU in one slice: procs_on_gpu are (job_id, sm_pct, mem_mib) per process."""
+    return split_one_slice("gpu", gpu_power_w, [(job_id, 0.0, sm, mem) for job_id, sm, mem in procs_on_gpu])
+
+
 def assert_scaled_by_power_of_two(got, v, factor):
     """got == v * factor bit for bit while v and v * factor are normal floats.
 
@@ -78,34 +120,35 @@ def assert_scaled_by_power_of_two(got, v, factor):
 
 class TestCpuShares:
     def test_proportional_split(self):
-        shares, unattr = cpu_shares({7: 3.0, 8: 1.0}, 200.0)
+        shares, unattr = cpu_split({7: 3.0, 8: 1.0}, 200.0)
         assert shares == {7: 150.0, 8: 50.0}
         assert unattr == 0.0
 
     def test_all_zero_deltas_means_no_evidence(self):
-        assert cpu_shares({7: 0.0, 8: 0.0}, 120.0) == ({}, 120.0)
-        assert cpu_shares({}, 120.0) == ({}, 120.0)
+        assert cpu_split({7: 0.0, 8: 0.0}, 120.0) == ({}, 120.0)
+        assert cpu_split({}, 120.0) == ({}, 120.0)
 
     def test_pseudo_job_share_routes_to_unattributed(self):
-        shares, unattr = cpu_shares({0: 1.0, 7: 1.0}, 100.0)
+        shares, unattr = cpu_split({0: 1.0, 7: 1.0}, 100.0)
         assert shares == {7: 50.0}
         assert unattr == 50.0
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(NegativeDelta) as exc:
-            cpu_shares({7: -0.5}, 100.0)
-        assert exc.value.job_id == 7
+        # cumulative cpu time that goes back is rejected when read, at its line
+        with pytest.raises(CpuTimeRegression) as exc:
+            read_proc_trace(jsonl([proc_snap("n1", 0.0, 100, 0.5), proc_snap("n1", 10.0, 100, 0.0)]).splitlines())
+        assert (exc.value.pid, exc.value.line_no) == (100, 2)
 
     def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            cpu_shares({7: 1.0}, -1.0)
+        with pytest.raises(NegativePower):
+            cpu_split({7: 1.0}, -1.0)
 
     def test_1000_random_cases_match_rational_oracle(self):
         rng = random.Random(17)
         for _ in range(1000):
             deltas = {j: rng.choice([0.0, rng.uniform(0.0, 50.0)]) for j in rng.sample(range(0, 12), rng.randint(1, 6))}
             power = rng.uniform(0.0, 1000.0)
-            got_shares, got_unattr = cpu_shares(deltas, power)
+            got_shares, got_unattr = cpu_split(deltas, power)
             want_shares, want_unattr = frac_shares(deltas, power)
             assert set(got_shares) == set(want_shares)
             for j in want_shares:
@@ -114,20 +157,20 @@ class TestCpuShares:
 
     @given(delta_maps, st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_conservation(self, deltas, power):
-        shares, unattr = cpu_shares(deltas, power)
+        shares, unattr = cpu_split(deltas, power)
         assert math.isclose(sum(shares.values()) + unattr, power, rel_tol=1e-9, abs_tol=1e-9)
 
     @given(delta_maps, st.floats(min_value=1e-3, max_value=1e6, allow_nan=False), st.sampled_from([0.5, 2.0, 1024.0]))
     def test_scale_invariance_of_deltas(self, deltas, power, factor):
         # scaling every delta by a power of two leaves the ratios bit-exact
         scaled = {j: v * factor for j, v in deltas.items()}
-        assert cpu_shares(scaled, power) == cpu_shares(deltas, power)
+        assert cpu_split(scaled, power) == cpu_split(deltas, power)
 
     @given(delta_maps, st.floats(min_value=1e-3, max_value=1e6, allow_nan=False), st.sampled_from([0.5, 2.0, 1024.0]))
     @example({0: 73.25, 1: 2.2250738585072014e-308}, 0.25, 0.5)  # a subnormal share
     def test_linearity_in_power(self, deltas, power, factor):
-        shares, unattr = cpu_shares(deltas, power)
-        scaled_shares, scaled_unattr = cpu_shares(deltas, power * factor)
+        shares, unattr = cpu_split(deltas, power)
+        scaled_shares, scaled_unattr = cpu_split(deltas, power * factor)
         assert set(scaled_shares) == set(shares)
         for j, v in shares.items():
             assert_scaled_by_power_of_two(scaled_shares[j], v, factor)
@@ -135,7 +178,7 @@ class TestCpuShares:
 
     @given(delta_maps, st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     def test_share_never_exceeds_power(self, deltas, power):
-        shares, unattr = cpu_shares(deltas, power)
+        shares, unattr = cpu_split(deltas, power)
         for v in shares.values():
             assert 0.0 <= v <= power * (1 + 1e-12)
         assert 0.0 <= unattr <= power * (1 + 1e-12)
@@ -143,39 +186,39 @@ class TestCpuShares:
 
 class TestGpuShares:
     def test_sm_weighted_split(self):
-        shares, unattr = gpu_shares([(7, 60.0, None), (8, 20.0, None)], 300.0)
+        shares, unattr = gpu_split([(7, 60.0, None), (8, 20.0, None)], 300.0)
         assert shares == {7: 225.0, 8: 75.0}
         assert unattr == 0.0
 
     def test_mem_fallback_when_sm_all_zero(self):
-        shares, unattr = gpu_shares([(7, 0.0, 3000.0), (8, None, 1000.0)], 100.0)
+        shares, unattr = gpu_split([(7, 0.0, 3000.0), (8, None, 1000.0)], 100.0)
         assert shares == {7: 75.0, 8: 25.0}
         assert unattr == 0.0
 
     def test_equal_split_when_both_degenerate(self):
-        shares, unattr = gpu_shares([(7, 0.0, 0.0), (8, None, None), (9, 0.0, None)], 90.0)
+        shares, unattr = gpu_split([(7, 0.0, 0.0), (8, None, None), (9, 0.0, None)], 90.0)
         assert shares == {7: 30.0, 8: 30.0, 9: 30.0}
         assert unattr == 0.0
 
     def test_no_processes_means_all_unattributed(self):
-        assert gpu_shares([], 250.0) == ({}, 250.0)
+        assert gpu_split([], 250.0) == ({}, 250.0)
 
     def test_ownerless_process_share_is_unattributed(self):
-        shares, unattr = gpu_shares([(0, 30.0, None), (7, 30.0, None)], 100.0)
+        shares, unattr = gpu_split([(0, 30.0, None), (7, 30.0, None)], 100.0)
         assert shares == {7: 50.0}
         assert unattr == 50.0
 
     def test_multiple_processes_per_job_sum_their_weights(self):
-        shares, _ = gpu_shares([(7, 10.0, None), (7, 30.0, None), (8, 40.0, None)], 160.0)
+        shares, _ = gpu_split([(7, 10.0, None), (7, 30.0, None), (8, 40.0, None)], 160.0)
         assert shares == {7: 80.0, 8: 80.0}
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            gpu_shares([(7, 101.0, None)], 100.0)
-        with pytest.raises(ValueError):
-            gpu_shares([(7, 50.0, -1.0)], 100.0)
-        with pytest.raises(ValueError):
-            gpu_shares([(7, 50.0, None)], -5.0)
+        with pytest.raises(OutOfRangeUtilization):
+            gpu_split([(7, 101.0, None)], 100.0)
+        with pytest.raises(OutOfRangeUtilization):
+            gpu_split([(7, 50.0, -1.0)], 100.0)
+        with pytest.raises(NegativePower):
+            gpu_split([(7, 50.0, None)], -5.0)
 
     def test_500_random_cases_match_oracle(self):
         rng = random.Random(23)
@@ -187,7 +230,7 @@ class TestGpuShares:
                 mem = rng.choice([None, 0.0, rng.uniform(0.0, 16000.0)])
                 procs.append((job, sm, mem))
             power = rng.uniform(0.0, 500.0)
-            got_shares, got_unattr = gpu_shares(procs, power)
+            got_shares, got_unattr = gpu_split(procs, power)
             want_shares, want_unattr = gpu_shares_oracle(procs, power)
             assert set(got_shares) == set(want_shares)
             for j in want_shares:

@@ -8,9 +8,10 @@ traces and jobs alone.  calibrate and report gpu-hist never load
 attribution: calibrate fits and prints with calibration and traces, and
 gpu-hist reads proc, and the pidmap and jobs for --per-job-mean.  numpy is
 loaded only by the attribution split, that is by attribute and by report on
-raw traces; calibrate sums with math.fsum and interpolates with the stdlib,
-as resample_to_grid does.  No command loads concurrent.futures or
-dataclasses.  The CLI's entry point runs OpenBLAS with one thread, so
+raw traces; calibrate sums with math.fsum and interpolates with the stdlib.
+The record functions that stay off the split (parse_power_trace and
+fit_nodes, parse_slices and integrate_energy) do not load it either.  No
+command loads concurrent.futures or dataclasses.  The CLI's entry point runs OpenBLAS with one thread, so
 loading numpy starts no thread pool.  Each check runs in a subprocess so
 that modules loaded by the test session do not count.
 """
@@ -99,14 +100,24 @@ def test_report_on_raw_traces_loads_numpy(tmp_path):
     assert steps["report_raw"] == {"code": 0, "numpy": True, "concurrent.futures": False, "dataclasses": False}
 
 
-def test_resample_to_grid_does_not_load_numpy():
+def test_record_path_does_not_load_numpy(tmp_path):
+    # on the demo traces: calibration and energy from records, as a library user would run them
+    script = Path(SRC).parent / "scripts" / "make_demo_traces.py"
+    demo = subprocess.run([sys.executable, str(script), "--out", str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert demo.returncode == 0, demo.stderr
+    out = io.StringIO()
+    flags = [f"--{name}={tmp_path / name}.jsonl" for name in ("power", "proc", "pidmap", "jobs")]
+    assert run(["attribute", *flags], stdout=out, stderr=io.StringIO()) == 0
+    (tmp_path / "slices.jsonl").write_text(out.getvalue(), encoding="utf-8")
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import wattscope; "
-        "series = [wattscope.PowerSample('n1', wattscope.Source('cpu', 0), t, 10.0 * t) for t in (0.0, 1.0)]; "
-        "print(wattscope.resample_to_grid(series, [-1.0, 0.25, 1.0]), 'numpy' in sys.modules)"
+        "import sys; sys.path.insert(0, sys.argv[1]); import wattscope as w; d = sys.argv[2]; "
+        "software, external = w.parse_power_trace(open(d + '/power.jsonl')), w.parse_power_trace(open(d + '/external.jsonl'), 'ext'); "
+        "models = w.fit_nodes(software, external); "
+        "energies = w.integrate_energy(w.parse_slices(open(d + '/slices.jsonl'))); "
+        "print(sorted(m.node_id for m in models), len(energies) > 1, 'numpy' in sys.modules)"
     )
-    result = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True, timeout=120)
-    assert (result.returncode, result.stdout) == (0, "[None, 2.5, 10.0] False\n"), result.stderr
+    result = subprocess.run([sys.executable, "-c", code, SRC, str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stdout) == (0, "['n1', 'n2'] True False\n"), result.stderr
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):

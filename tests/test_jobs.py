@@ -15,12 +15,9 @@ from wattscope import (
     build_timelines,
     parse_jobs,
     parse_pidmap,
-    pid_owner,
-    serialize_jobs,
-    serialize_pidmap,
 )
 from wattscope.jobs import check_owners, owner_at, ownership_index, read_pidmap
-from helpers import job_pids_oracle, job_record, owner_oracle, pidmap_snap
+from helpers import job_pids_oracle, job_record, jsonl, owner_oracle, pidmap_snap
 
 
 def pidmap_line(node="n1", ts=10.0, mapping=((4242, 7),)):
@@ -85,9 +82,9 @@ class TestParsePidmap:
         for node in ("n1", "n2"):
             snaps.extend(random_snapshots(rng, node=node, n_snaps=250))
         snaps.sort(key=lambda s: (s.node_id, s.ts))
-        text = serialize_pidmap(snaps)
+        text = jsonl(snaps)
         assert parse_pidmap(text.splitlines()) == snaps
-        assert serialize_pidmap(parse_pidmap(text.splitlines())) == text
+        assert jsonl(parse_pidmap(text.splitlines())) == text
 
     @given(st.text(max_size=200))
     def test_totality(self, text):
@@ -125,7 +122,7 @@ class TestParseJobs:
 
     def test_roundtrip(self):
         jobs = parse_jobs([job_line(), job_line(job=8, user="bob", status="TIMEOUT")])
-        assert parse_jobs(serialize_jobs(jobs).splitlines()) == jobs
+        assert parse_jobs(jsonl(jobs).splitlines()) == jobs
 
 
 class TestBuildTimelines:
@@ -212,54 +209,54 @@ class TestBuildTimelines:
                 seen |= held
 
 
+def owners_of(snaps):
+    """The step index the CLI reads from these snapshots' pidmap lines."""
+    return read_pidmap(jsonl(snaps).splitlines())
+
+
 class TestPidOwner:
     def test_absence_is_a_value(self):
-        jobs = [job_record(7)]
-        timelines = build_timelines([pidmap_snap("n1", 10.0, {41: 7})], jobs)
-        assert pid_owner(timelines, "n1", 41, 9.999) is None  # before first snapshot
-        assert pid_owner(timelines, "n1", 41, 10.0) == 7
-        assert pid_owner(timelines, "n1", 99, 10.0) is None  # unknown pid
-        assert pid_owner(timelines, "n2", 41, 10.0) is None  # other node
+        index = owners_of([pidmap_snap("n1", 10.0, {41: 7})])
+        assert owner_at(index, "n1", 41, 9.999) is None  # before first snapshot
+        assert owner_at(index, "n1", 41, 10.0) == 7
+        assert owner_at(index, "n1", 99, 10.0) is None  # unknown pid
+        assert owner_at(index, "n2", 41, 10.0) is None  # other node
 
     def test_owner_changes_with_snapshots(self):
-        jobs = [job_record(7), job_record(8)]
-        snaps = [pidmap_snap("n1", 10.0, {41: 7}), pidmap_snap("n1", 20.0, {41: 8})]
-        timelines = build_timelines(snaps, jobs)
-        assert pid_owner(timelines, "n1", 41, 15.0) == 7
-        assert pid_owner(timelines, "n1", 41, 20.0) == 8
+        index = owners_of([pidmap_snap("n1", 10.0, {41: 7}), pidmap_snap("n1", 20.0, {41: 8})])
+        assert owner_at(index, "n1", 41, 15.0) == 7
+        assert owner_at(index, "n1", 41, 20.0) == 8
 
     def test_10000_queries_against_linear_scan_oracle(self):
         rng = random.Random(13)
-        jobs = [job_record(7), job_record(8), job_record(9), job_record(17, node="n2")]
         snaps = random_snapshots(rng, n_snaps=40)
         snaps += random_snapshots(rng, node="n2", n_snaps=10, jobs=(17,), pids=(81, 82))
-        timelines = build_timelines(snaps, jobs)
+        index = owners_of(snaps)
         pids = [41, 42, 43, 44, 45, 46, 81, 82, 999]
         span_hi = max(s.ts for s in snaps) + 5.0
         for _ in range(10_000):
             node = "n1" if rng.random() < 0.8 else "n2"
             pid = rng.choice(pids)
             t = rng.uniform(-5.0, span_hi)
-            assert pid_owner(timelines, node, pid, t) == owner_oracle(snaps, node, pid, t)
+            assert owner_at(index, node, pid, t) == owner_oracle(snaps, node, pid, t)
 
     def test_two_timelines_holding_one_pid_are_rejected(self):
-        timelines = {
-            7: PidTimeline(7, "n1", ((10.0, frozenset({5})),)),
-            8: PidTimeline(8, "n1", ((10.0, frozenset({5, 6})),)),
-        }
+        # jobs 7 and 8 both holding pid 5 at ts 10, as two pidmap lines of one instant
+        lines = jsonl([pidmap_snap("n1", 10.0, {5: 7}), pidmap_snap("n1", 10.0, {5: 8, 6: 8})]).splitlines()
         with pytest.raises(DuplicatePid) as exc:
-            pid_owner(timelines, "n1", 6, 10.0)
-        assert (exc.value.pid, exc.value.ts) == (5, 10.0)
+            read_pidmap(lines)
+        assert (exc.value.pid, exc.value.ts, exc.value.line_no) == (5, 10.0, 2)
 
     def test_consistent_with_build_timelines(self):
         rng = random.Random(21)
         jobs = [job_record(7), job_record(8), job_record(9)]
         snaps = random_snapshots(rng)
         timelines = build_timelines(snaps, jobs)
+        index = owners_of(snaps)
         for tl in timelines.values():
             for ts, pids in tl.entries:
                 for pid in pids:
-                    assert pid_owner(timelines, tl.node_id, pid, ts) == tl.job_id
+                    assert owner_at(index, tl.node_id, pid, ts) == tl.job_id
 
 
 SNAP_TS = (0.0, 1.0, 2.5, 4.0)
@@ -335,7 +332,6 @@ class TestReadPidmap:
         for build in (
             lambda: build_timelines(snaps, [job_record(7), job_record(8)]),
             lambda: ownership_index(timelines),
-            lambda: pid_owner(timelines, "n1", 5, 10.0),
         ):
             with pytest.raises(DuplicatePid) as exc:
                 build()

@@ -12,7 +12,13 @@ the proc trace at a snapshot instant splits the slices, relabelling pids
 in order changes nothing, renaming nodes in order renames them in the
 output and changes nothing else, renumbering jobs in order renumbers them
 in the slices and leaves the status report byte-identical, and unmapping
-one job moves exactly its CPU energy to the unattributed bucket.
+one job moves exactly its CPU energy to the unattributed bucket.  These
+run through the CLI and report the first failing example unshrunk, since
+shrinking would rerun the CLI for minutes.  In process, through the
+readers, attribute_columns and integrate_energy: shifting every timestamp
+by whole seconds leaves every energy unchanged at REL 1e-9, except where a
+midpoint falls exactly on a series' first or last sample (an expected
+failure below).
 
 A float reference, one slice at a time, pins the order of every sum
 (pids ascending, then job ids, then GPU indices), so that the output is
@@ -28,33 +34,40 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
-from wattscope import (
-    TraceBundle,
-    attribute,
-    build_timelines,
-    integrate_energy,
-    parse_slices,
-    serialize_jobs,
-    serialize_pidmap,
-    serialize_power_trace,
-    serialize_proc_trace,
-)
+from wattscope import TraceBundle, attribute, build_timelines, integrate_energy, parse_jobs, parse_slices
+from wattscope.attribution import attribute_columns
 from wattscope.cli import run
-from helpers import GAP_DEFAULT_S, lerp_series, naive_attribute, owner_oracle, random_scenario
+from wattscope.jobs import check_owners, read_pidmap
+from wattscope.traces import read_power_trace, read_proc_trace
+from helpers import (
+    GAP_DEFAULT_S,
+    job_record,
+    jsonl,
+    lerp_series,
+    naive_attribute,
+    owner_oracle,
+    pidmap_snap,
+    power_sample,
+    proc_snap,
+    random_scenario,
+)
 from test_attribution import assert_matches_naive
 
 REL = 1e-9
 J_PER_KWH = 3.6e6
+# each example of the CLI tests runs the CLI, so shrinking a failure would take minutes: the first failure found is reported
+CLI_PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
 
 
 def write_scenario(sc, dirpath: Path, power_text=None, proc_text=None, pidmap_text=None) -> dict[str, str]:
     texts = {
-        "power": power_text if power_text is not None else serialize_power_trace(sc["power"]),
-        "proc": proc_text if proc_text is not None else serialize_proc_trace(sc["procs"]),
-        "pidmap": pidmap_text if pidmap_text is not None else serialize_pidmap(sc["pidmap"]),
-        "jobs": serialize_jobs(sc["jobs"]),
+        "power": power_text if power_text is not None else jsonl(sc["power"]),
+        "proc": proc_text if proc_text is not None else jsonl(sc["procs"]),
+        "pidmap": pidmap_text if pidmap_text is not None else jsonl(sc["pidmap"]),
+        "jobs": jsonl(sc["jobs"]),
     }
     paths = {}
     for name, text in texts.items():
@@ -137,7 +150,7 @@ def make_scenario(params):
 
 
 class TestThreeWayDifferential:
-    @settings(max_examples=50)
+    @settings(max_examples=50, phases=CLI_PHASES)
     @given(scenarios)
     def test_library_cli_and_naive_agree(self, params):
         sc = make_scenario(params)
@@ -191,14 +204,14 @@ def grouped_lines(text: str, key) -> list[list[str]]:
 
 
 class TestMetamorphic:
-    @settings(max_examples=25)
+    @settings(max_examples=25, phases=CLI_PHASES)
     @given(scenarios, st.integers(min_value=0, max_value=10**6))
     def test_interleaving_lines_changes_nothing(self, params, shuffle_seed):
         sc = make_scenario(params)
         rng = random.Random(shuffle_seed)
-        power = grouped_lines(serialize_power_trace(sc["power"]), lambda o: (o["node"], o["src"]))
-        procs = grouped_lines(serialize_proc_trace(sc["procs"]), lambda o: (o["node"], o["pid"]))
-        pidmap = grouped_lines(serialize_pidmap(sc["pidmap"]), lambda o: o["node"])
+        power = grouped_lines(jsonl(sc["power"]), lambda o: (o["node"], o["src"]))
+        procs = grouped_lines(jsonl(sc["procs"]), lambda o: (o["node"], o["pid"]))
+        pidmap = grouped_lines(jsonl(sc["pidmap"]), lambda o: o["node"])
         with tempfile.TemporaryDirectory() as tmp:
             base = cli_attribute(write_scenario(sc, Path(tmp)))
         with tempfile.TemporaryDirectory() as tmp:
@@ -213,13 +226,13 @@ class TestMetamorphic:
             )
         assert mixed == base
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, phases=CLI_PHASES)
     @given(scenarios)
     def test_doubling_every_watt_doubles_every_watt_field(self, params):
         sc = make_scenario(params)
         doubled = "".join(
             json.dumps({**obj, "w": 2.0 * obj["w"]}, separators=(",", ":")) + "\n"
-            for obj in map(json.loads, serialize_power_trace(sc["power"]).splitlines())
+            for obj in map(json.loads, jsonl(sc["power"]).splitlines())
         )
         with tempfile.TemporaryDirectory() as tmp:
             base = cli_attribute(write_scenario(sc, Path(tmp)))
@@ -236,7 +249,7 @@ class TestMetamorphic:
             for job, entry in a["jobs"].items():
                 assert b["jobs"][job] == {"cpu_w": 2.0 * entry["cpu_w"], "gpu_w": 2.0 * entry["gpu_w"]}
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, phases=CLI_PHASES)
     @given(scenarios, st.randoms())
     def test_splitting_the_proc_trace_at_a_snapshot_splits_the_slices(self, params, rng):
         # each node is cut at one of its own snapshot instants, which both parts keep;
@@ -254,7 +267,7 @@ class TestMetamorphic:
         parts = []
         for procs in (before, after):
             with tempfile.TemporaryDirectory() as tmp:
-                parts.append(cli_attribute(write_scenario(sc, Path(tmp), proc_text=serialize_proc_trace(procs))))
+                parts.append(cli_attribute(write_scenario(sc, Path(tmp), proc_text=jsonl(procs))))
         assert sorted(parts[0].splitlines() + parts[1].splitlines()) == sorted(whole.splitlines())
 
         want = integrate_energy(parse_slices(whole.splitlines()))
@@ -269,7 +282,7 @@ class TestMetamorphic:
             assert math.isclose(got[job_id][1], e.gpu_kwh, rel_tol=REL, abs_tol=1e-15)
 
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, phases=CLI_PHASES)
     @given(scenarios, st.randoms())
     def test_relabelling_pids_in_order_changes_nothing(self, params, rng):
         # pids order each node's records and name their owners; no output byte depends on their values
@@ -286,7 +299,7 @@ class TestMetamorphic:
         with tempfile.TemporaryDirectory() as tmp:
             assert cli_attribute(write_scenario(relabelled, Path(tmp))) == base
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, phases=CLI_PHASES)
     @given(scenarios, st.randoms())
     def test_renaming_nodes_in_order_renames_the_output(self, params, rng):
         # names of several lengths, so that an order by length first would differ from the order of names
@@ -308,7 +321,7 @@ class TestMetamorphic:
 
         assert got == "".join(rename(line) + "\n" for line in base.splitlines())
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, phases=CLI_PHASES)
     @given(scenarios, st.randoms())
     def test_renumbering_jobs_in_order_renumbers_the_output(self, params, rng):
         # ids of several lengths, so that an order of job keys as text would differ from the order of ids
@@ -330,7 +343,7 @@ class TestMetamorphic:
         assert got == re.sub(r'"(\d+)":\{"cpu_w"', lambda m: '"%d":{"cpu_w"' % new[int(m[1])], base)
         assert got_status == base_status
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, phases=CLI_PHASES)
     @given(scenarios, st.randoms())
     def test_unmapping_a_job_moves_its_cpu_energy_to_unattributed(self, params, rng):
         # its pids keep their cpu-time deltas, which now count for nobody; the GPU split is not
@@ -360,6 +373,66 @@ class TestMetamorphic:
         for status, kwh in statuses[1].items():
             want = statuses[0][status] - (moved / J_PER_KWH if status == status_of[gone] else 0.0)
             assert math.isclose(kwh, want, rel_tol=REL, abs_tol=REL * statuses[0][status] + 1e-18)
+
+    @settings(max_examples=50)
+    @given(scenarios, st.integers(min_value=-10**5, max_value=10**5).filter(bool))
+    @example({"seed": 0, "n_jobs": 3, "n_gpus": 2, "n_intervals": 40, "n_nodes": 2}, -7)
+    @example({"seed": 1, "n_jobs": 3, "n_gpus": 2, "n_intervals": 40, "n_nodes": 2}, 86_400)
+    def test_shifting_time_by_whole_seconds_keeps_every_energy(self, params, shift):
+        # in process: the readers round ts + shift to the millisecond again, so slice bytes may differ, energies not;
+        # a midpoint exactly on a series' first or last sample is left out, see the test below
+        sc = make_scenario(params)
+        assume(not midpoint_on_a_series_end(sc))
+        assert_same_energies(energies_in_process(shift_time(sc, shift)), energies_in_process(sc))
+
+    @pytest.mark.xfail(strict=True, reason="whether a series covers a midpoint it starts on depends on float rounding")
+    def test_shifting_time_keeps_a_series_that_starts_at_a_midpoint(self):
+        # (0.0 + 0.81) / 2 == 0.405, but (7.0 + 7.81) / 2 < 7.405, so the shifted slice loses the cpu0 series
+        sc = {
+            "power": [power_sample("n1", "cpu0", 0.405, 100.0), power_sample("n1", "cpu0", 2.0, 100.0)],
+            "procs": [proc_snap("n1", 0.0, 41, 0.0), proc_snap("n1", 0.81, 41, 0.5)],
+            "pidmap": [pidmap_snap("n1", 0.0, {41: 7})],
+            "jobs": [job_record(7)],
+        }
+        assert midpoint_on_a_series_end(sc)
+        assert_same_energies(energies_in_process(shift_time(sc, 7)), energies_in_process(sc))
+
+
+def shift_time(sc, shift: int) -> dict:
+    """The scenario with every ts, and every job's submit, start and end, moved by shift seconds."""
+    return {
+        "power": [p._replace(ts=p.ts + shift) for p in sc["power"]],
+        "procs": [p._replace(ts=p.ts + shift) for p in sc["procs"]],
+        "pidmap": [s._replace(ts=s.ts + shift) for s in sc["pidmap"]],
+        "jobs": [j._replace(t_submit=j.t_submit + shift, t_start=j.t_start + shift, t_end=j.t_end + shift)
+                 for j in sc["jobs"]],
+    }
+
+
+def midpoint_on_a_series_end(sc) -> bool:
+    """Whether some slice's midpoint is, in exact milliseconds, the first or last sample of a series on its node."""
+    series, ticks = {}, {}
+    for p in sc["power"]:
+        series.setdefault((p.node_id, p.source), []).append(round(p.ts * 1000))
+    for p in sc["procs"]:
+        ticks.setdefault(p.node_id, set()).add(round(p.ts * 1000))
+    doubled = {(node, 2 * end) for (node, _), ts in series.items() for end in (min(ts), max(ts))}
+    return any((node, a + b) in doubled for node, ts in ticks.items() for a, b in zip(sorted(ts), sorted(ts)[1:]))
+
+
+def assert_same_energies(got, want) -> None:
+    assert set(got) == set(want)
+    for job_id, e in want.items():
+        assert math.isclose(got[job_id].cpu_kwh, e.cpu_kwh, rel_tol=REL, abs_tol=1e-15)
+        assert math.isclose(got[job_id].gpu_kwh, e.gpu_kwh, rel_tol=REL, abs_tol=1e-15)
+
+
+def energies_in_process(sc) -> dict:
+    """Every job's energy, and the unattributed energy under job 0, by the library calls the CLI makes."""
+    owners = read_pidmap(jsonl(sc["pidmap"]).splitlines())
+    check_owners(owners, parse_jobs(jsonl(sc["jobs"]).splitlines()))
+    power, procs = read_power_trace(jsonl(sc["power"]).splitlines()), read_proc_trace(jsonl(sc["procs"]).splitlines())
+    return integrate_energy(attribute_columns(power, procs, owners))
 
 
 def cli_status_json(paths) -> str:

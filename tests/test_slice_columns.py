@@ -28,9 +28,6 @@ from wattscope import (
     apply_calibration,
     integrate_energy,
     read_slices,
-    serialize_pidmap,
-    serialize_power_trace,
-    serialize_proc_trace,
     serialize_slices,
     slice_coverage,
 )
@@ -38,7 +35,7 @@ from wattscope.attribution import attribute_columns
 from wattscope.cli import run
 from wattscope.jobs import check_owners, read_pidmap
 from wattscope.traces import read_power_trace, read_proc_trace
-from helpers import random_scenario, write_status_split_fixture
+from helpers import jsonl, random_scenario, write_status_split_fixture
 
 J_PER_KWH = 3.6e6
 
@@ -122,11 +119,11 @@ def columns_of(params, rng: random.Random) -> tuple[SliceColumns, dict[str, floa
     nodes = sorted({r.node_id for records in sc.values() for r in records})
     names = {node: f"{node}{''.join(rng.choice(NODE_CHARS) for _ in range(rng.randint(0, 4)))}" for node in nodes}
     sc = {key: [r._replace(node_id=names[r.node_id]) for r in records] for key, records in sc.items()}
-    owners = read_pidmap(serialize_pidmap(sc["pidmap"]).splitlines())
+    owners = read_pidmap(jsonl(sc["pidmap"]).splitlines())
     check_owners(owners, sc["jobs"])
     cols = attribute_columns(
-        read_power_trace(serialize_power_trace(sc["power"]).splitlines()),
-        read_proc_trace(serialize_proc_trace(sc["procs"]).splitlines()),
+        read_power_trace(jsonl(sc["power"]).splitlines()),
+        read_proc_trace(jsonl(sc["procs"]).splitlines()),
         owners,
     )
     return cols, {name: rng.uniform(0.5, 3.0) for name in names.values()}

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from wattscope import (
     CpuTimeRegression,
-    EmptySeries,
     MalformedLine,
     NegativePower,
     NonMonotonicTimestamp,
@@ -20,12 +19,10 @@ from wattscope import (
     parse_power_trace,
     parse_proc_trace,
     parse_source,
-    resample_to_grid,
-    serialize_power_trace,
-    serialize_proc_trace,
 )
 from wattscope import traces
-from helpers import lerp_series, ms, power_sample, proc_snap
+from wattscope.attribution import attribute_columns
+from helpers import jsonl, lerp_series, ms, power_sample, proc_snap
 
 
 def power_line(node="n1", src="cpu0", ts=1.0, w=100.0, **extra):
@@ -233,9 +230,9 @@ class TestRoundTrip:
             power_sample("n1", "gpu1", 1.5, 0.0),
             power_sample("n2", "ext", 172800.25, 1234.567),
         ]
-        text = serialize_power_trace(samples)
+        text = jsonl(samples)
         assert parse_power_trace(text.splitlines()) == samples
-        assert serialize_power_trace(parse_power_trace(text.splitlines())) == text
+        assert jsonl(parse_power_trace(text.splitlines())) == text
 
     def test_proc_lines_bit_exact(self):
         snaps = [
@@ -243,7 +240,7 @@ class TestRoundTrip:
             proc_snap("n1", 2.0, 42, 0.5, gpu=0),
             proc_snap("n1", 2.0, 43, 9.125, gpu=1, sm=55.5, mem=801.0),
         ]
-        text = serialize_proc_trace(snaps)
+        text = jsonl(snaps)
         assert parse_proc_trace(text.splitlines()) == snaps
 
     @given(
@@ -260,7 +257,7 @@ class TestRoundTrip:
     def test_power_roundtrip_property(self, points):
         points.sort()
         samples = [power_sample("n1", "cpu0", t / 1000.0, w) for t, w in points]
-        assert parse_power_trace(serialize_power_trace(samples).splitlines()) == samples
+        assert parse_power_trace(jsonl(samples).splitlines()) == samples
 
     @given(
         st.lists(
@@ -281,7 +278,7 @@ class TestRoundTrip:
         for t, inc, sm in points:
             cpu += inc
             snaps.append(proc_snap("n1", t / 1000.0, 42, cpu, gpu=0 if sm is not None else None, sm=sm))
-        assert parse_proc_trace(serialize_proc_trace(snaps).splitlines()) == snaps
+        assert parse_proc_trace(jsonl(snaps).splitlines()) == snaps
 
     def test_canonical_ts_idempotent(self):
         for x in (0.0015, 1.0004999, 123.4565, 2.0005):
@@ -298,45 +295,59 @@ class TestParserTotality:
                 assert exc.line_no == 1
 
 
+def covered_watts(points: list[tuple[float, float]], mids: list[float]) -> list[float]:
+    """The cpu watts attribute_columns takes from a series of (ts, w) points at each midpoint; 0.0 where it misses it.
+
+    Midpoint t is the one slice of a node of its own, with ticks at t - 0.5
+    and t + 0.5 and the series as its cpu0.  The node's one pid has no
+    delta, so every watt of the slice is unattributed.
+    """
+    power, procs = [], []
+    for i, t in enumerate(mids):
+        node = f"n{i:04d}"  # nodes in the order of mids, as attribute_columns orders them
+        power += [power_sample(node, "cpu0", ts, w) for ts, w in points]
+        procs += [proc_snap(node, t - 0.5, 1, 0.0), proc_snap(node, t + 0.5, 1, 0.0)]
+    cols = attribute_columns(traces.read_power_trace(jsonl(power).splitlines()),
+                             traces.read_proc_trace(jsonl(procs).splitlines()), {})
+    assert len(cols) == len(mids)
+    return cols.unattr_cpu.tolist()
+
+
 class TestResample:
+    """Interpolation as calibrate runs it (traces._interp), and which midpoints a series covers in attribute_columns."""
+
     def test_midpoint(self):
-        series = [power_sample("n1", "cpu0", 0, 100.0), power_sample("n1", "cpu0", 10, 200.0)]
-        assert resample_to_grid(series, [5.0]) == [150.0]
+        assert traces._interp([5.0], [0.0, 10.0], [100.0, 200.0]) == [150.0]
 
     def test_identity_at_sample_points(self):
-        series = [power_sample("n1", "cpu0", t, 10.0 * t) for t in range(5)]
-        assert resample_to_grid(series, [s.ts for s in series]) == [s.power_w for s in series]
+        ts = [float(t) for t in range(5)]
+        w = [10.0 * t for t in ts]
+        assert traces._interp(ts, ts, w) == w
 
     def test_outside_span_is_missing(self):
-        series = [power_sample("n1", "cpu0", 0, 100.0), power_sample("n1", "cpu0", 10, 200.0)]
-        assert resample_to_grid(series, [-0.001, 0.0, 10.0, 10.001]) == [None, 100.0, 200.0, None]
+        assert covered_watts([(0.0, 100.0), (10.0, 200.0)], [-0.001, 0.0, 10.0, 10.001]) == [0.0, 100.0, 200.0, 0.0]
 
     def test_single_sample_series(self):
-        series = [power_sample("n1", "cpu0", 5, 100.0)]
-        assert resample_to_grid(series, [4.999, 5.0, 5.001]) == [None, 100.0, None]
-
-    def test_empty_series(self):
-        with pytest.raises(EmptySeries):
-            resample_to_grid([], [1.0])
+        assert covered_watts([(5.0, 100.0)], [4.999, 5.0, 5.001]) == [0.0, 100.0, 0.0]
 
     def test_unsorted_series_rejected(self):
-        series = [power_sample("n1", "cpu0", 10, 1.0), power_sample("n1", "cpu0", 0, 2.0)]
-        with pytest.raises(ValueError):
-            resample_to_grid(series, [5.0])
+        # a series is sorted when read; out of order, it is an error at its line
+        with pytest.raises(NonMonotonicTimestamp) as exc:
+            traces.read_power_trace([power_line(ts=10.0, w=1.0), power_line(ts=0.0, w=2.0)])
+        assert exc.value.line_no == 2
 
     def test_against_millisecond_brute_force_oracle(self):
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(2, 40)
             ts = sorted(rng.sample(range(0, 200_000), n))
-            series = [power_sample("n1", "cpu0", t / 1000.0, rng.uniform(0, 500)) for t in ts]
-            points = [(s.ts, s.power_w) for s in series]
+            points = [(t / 1000.0, rng.uniform(0, 500)) for t in ts]
             grid = [t / 1000.0 for t in rng.sample(range(-1000, 201_000), 200)]
-            got = resample_to_grid(series, grid)
+            got = covered_watts(points, grid)
             want = [lerp_series(points, t) for t in grid]
             for g, w in zip(got, want):
                 if w is None:
-                    assert g is None
+                    assert g == 0.0
                 else:
                     assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
 
@@ -350,13 +361,11 @@ class TestResample:
         rng = random.Random(ticks[0] + len(ticks))
         p = [rng.uniform(0, 300) for _ in ticks]
         q = [rng.uniform(0, 300) for _ in ticks]
-        mk = lambda vals: [power_sample("n1", "cpu0", t / 1000.0, v) for t, v in zip(ticks, vals)]
+        ts = [t / 1000.0 for t in ticks]
         grid = [t / 1000.0 for t in range(ticks[0], ticks[-1], max(1, (ticks[-1] - ticks[0]) // 50))]
-        combo = resample_to_grid(
-            [PowerSample("n1", s.source, s.ts, a * x + b * y) for s, x, y in zip(mk(p), p, q)], grid
-        )
-        left = resample_to_grid(mk(p), grid)
-        right = resample_to_grid(mk(q), grid)
+        combo = traces._interp(grid, ts, [a * x + b * y for x, y in zip(p, q)])
+        left = traces._interp(grid, ts, p)
+        right = traces._interp(grid, ts, q)
         for c, x, y in zip(combo, left, right):
             want = a * x + b * y
             assert c == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -370,14 +379,11 @@ class TestResample:
         import numpy as np
 
         ticks.sort()
-        series = [power_sample("n1", "cpu0", t / 1000.0, w) for t, w in zip(ticks, watts)]
+        ts, w = [t / 1000.0 for t in ticks], watts[:len(ticks)]
         grid = [t / 1000.0 for t in grid_ms + ticks]  # the samples themselves, first and last included
-        want = np.interp(grid, [s.ts for s in series], [s.power_w for s in series]).tolist()
-        for t, got, w in zip(grid, resample_to_grid(series, grid), want):
-            if series[0].ts <= t <= series[-1].ts:
-                assert got.hex() == w.hex()
-            else:
-                assert got is None
+        covered = [t for t in grid if ts[0] <= t <= ts[-1]]
+        want = np.interp(covered, ts, w).tolist()
+        assert [x.hex() for x in traces._interp(covered, ts, w)] == [x.hex() for x in want]
 
 
 class TestDuplicateProcRecords:
