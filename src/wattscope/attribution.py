@@ -221,34 +221,22 @@ def _split(
     return shares, has, np.where(ok, 0.0 + np.where(has[:, 0], shares[:, 0], 0.0), power)
 
 
-def _owner_columns(ts: np.ndarray, proc: np.ndarray, owners, pids: list) -> tuple[list, np.ndarray]:
-    """The node's job axis [UNATTRIBUTED_JOB, jobs ascending], and each record's column on it under step-hold.
+def _owner_columns(ts: np.ndarray, owners, pids: np.ndarray) -> tuple[list, np.ndarray]:
+    """The node's job axis [UNATTRIBUTED_JOB, jobs ascending], and the column on it of each record's owner.
 
-    Each (snapshot, process) of the pidmap is one integer key, sorted once, so
-    that one searchsorted finds every record's owner; a pid that no record
-    has keys no process.
+    Step-hold, as owner_at: a record of pid p at time t belongs to p's job in
+    the node's last snapshot at or before t, and is unattributed when there is
+    no such snapshot or p is not in it.  pids holds each record's pid.
     """
     import numpy as np
 
     snap_ts, maps = owners or ((), ())
-    jobs = [UNATTRIBUTED_JOB] + sorted(set().union(*(m.values() for m in maps)))
-    sizes = np.fromiter(map(len, maps), np.int64, len(maps))
-    total = int(sizes.sum())
-    if not total:
-        return jobs, np.zeros(len(ts), dtype=np.int64)
-    column = {j: c for c, j in enumerate(jobs)}
-    # the node's processes, numbered from 1; np.unique would import numpy.ma, about 1 MiB of RSS
-    number = {pids[p]: p + 1 for p in np.flatnonzero(np.bincount(proc)).tolist()}
-    span = len(pids) + 1
-    key = np.repeat(np.arange(len(maps), dtype=np.int64) * span, sizes)
-    key += np.fromiter(map(number.get, chain.from_iterable(maps), repeat(0)), np.int64, total)
-    owner = np.fromiter(map(column.__getitem__, chain.from_iterable(m.values() for m in maps)), np.int64, total)
-    by_key = np.argsort(key, kind="stable")
-    key, owner = key[by_key], owner[by_key]
-    snap = np.searchsorted(np.asarray(snap_ts, dtype=float), ts, side="right") - 1
-    want = snap * span + proc + 1  # negative before the first snapshot, where no key matches
-    at = np.minimum(np.searchsorted(key, want), total - 1)
-    return jobs, np.where(key[at] == want, owner[at], 0)
+    held = np.array([{}, *maps], dtype=object)  # held[i] is the map in force after the first i snapshots
+    in_force = held[np.searchsorted(np.asarray(snap_ts, dtype=float), ts, side="right")]
+    owner = list(map(dict.get, in_force.tolist(), pids.tolist()))
+    jobs = [UNATTRIBUTED_JOB] + sorted(set(owner).difference([None]))
+    column = {None: 0, **{job: c for c, job in enumerate(jobs)}}
+    return jobs, np.fromiter(map(column.__getitem__, owner), np.int64, len(owner))
 
 
 def _node_slices(out: SliceColumns, node: str, chunk: np.ndarray, columns: dict, series: list, owners,
@@ -264,7 +252,7 @@ def _node_slices(out: SliceColumns, node: str, chunk: np.ndarray, columns: dict,
     if n < 1:
         return
     mids = (ticks[:-1] + ticks[1:]) / 2.0
-    jobs, col = _owner_columns(ts, proc.astype(np.int64), owners, procs.pids)
+    jobs, col = _owner_columns(ts, owners, np.array(procs.pids, dtype=object)[proc])
     n_jobs = len(jobs)
 
     def per_job(key: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:

@@ -380,6 +380,48 @@ class TestAttribute:
             assert close(got_gpu, want_gpu)
 
 
+def cpu_watts_by_owner(pidmap, procs):
+    """Per slice (node, t0): ({job: cpu_w}, unattributed cpu_w), read and split as the CLI does.
+
+    procs are (node, ts, pid, cpu_s); each node's cpu0 reads 200 W throughout.
+    """
+    nodes = sorted({p[0] for p in procs})
+    power = [power_sample(node, "cpu0", t, 200.0) for node in nodes for t in (-1.0, 100.0)]
+    cols = attribute_columns(
+        read_power_trace(jsonl(power).splitlines()),
+        read_proc_trace(jsonl([proc_snap(*p) for p in procs]).splitlines()),
+        read_pidmap(jsonl(pidmap).splitlines()),
+    )
+    return {
+        (cols.nodes[n], t0): ({cols.jobs[cols.job[e]]: cols.cpu[e] for e in range(a, b)}, u)
+        for n, t0, a, b, u in zip(cols.node, cols.t0, cols.start, cols.start[1:], cols.unattr_cpu)
+    }
+
+
+class TestOwners:
+    """Each record is owned under step-hold, as the pid's job in the node's last snapshot at or before it."""
+
+    def test_a_record_at_a_snapshot_instant_takes_that_snapshots_owner(self):
+        pidmap = [pidmap_snap("n1", 0.0, {41: 7}), pidmap_snap("n1", 10.0, {41: 8})]
+        procs = [("n1", t, 41, t / 10) for t in (0.0, 10.0, 20.0)]
+        assert cpu_watts_by_owner(pidmap, procs) == {("n1", 0.0): ({7: 200.0}, 0.0), ("n1", 10.0): ({8: 200.0}, 0.0)}
+
+    def test_records_before_the_first_snapshot_or_absent_from_it_are_unattributed(self):
+        pidmap = [pidmap_snap("n1", 10.0, {41: 7})]
+        procs = [("n1", t, pid, t * share) for t in (0.0, 10.0, 20.0) for pid, share in ((41, 0.3), (42, 0.1))]
+        assert cpu_watts_by_owner(pidmap, procs) == {("n1", 0.0): ({}, 200.0), ("n1", 10.0): ({7: 150.0}, 50.0)}
+
+    def test_a_node_with_no_pidmap_line_is_all_unattributed(self):
+        pidmap = [pidmap_snap("n1", 0.0, {41: 7})]
+        procs = [(node, t, 41, t / 10) for node in ("n1", "n2") for t in (0.0, 10.0)]
+        assert cpu_watts_by_owner(pidmap, procs) == {("n1", 0.0): ({7: 200.0}, 0.0), ("n2", 0.0): ({}, 200.0)}
+
+    def test_a_pidmap_job_that_owns_no_record_adds_no_entry(self):
+        pidmap = [pidmap_snap("n1", 0.0, {41: 7, 99: 9}), pidmap_snap("n1", 10.0, {41: 7, 98: 6})]
+        procs = [("n1", t, 41, t / 10) for t in (0.0, 10.0, 20.0)]
+        assert cpu_watts_by_owner(pidmap, procs) == {("n1", 0.0): ({7: 200.0}, 0.0), ("n1", 10.0): ({7: 200.0}, 0.0)}
+
+
 class TestIntervalType:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
