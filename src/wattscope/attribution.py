@@ -240,27 +240,29 @@ def _owner_columns(ts: np.ndarray, owners, pids: np.ndarray) -> tuple[list, np.n
 
 
 def _node_slices(out: SliceColumns, node: str, chunk: np.ndarray, columns: dict, series: list, owners,
-                 procs: ProcColumns) -> None:
-    """Add one node's slices to out; chunk indexes its records in columns, sorted by (ts, pid)."""
+                 pids: np.ndarray, gpus: list) -> None:
+    """Add one node's slices to out; chunk indexes its records in columns, sorted by (pid, ts)."""
     import numpy as np
 
     ts, proc = columns["ts"][chunk], columns["proc"][chunk]
-    first = np.append(True, ts[1:] != ts[:-1])
-    tick = np.cumsum(first) - 1
-    ticks = ts[first]
+    # return_index sorts stably, so -0.0 and 0.0 at one instant give the ts of its lowest pid
+    ticks, _, tick = np.unique(ts, return_index=True, return_inverse=True)
     n = len(ticks) - 1
     if n < 1:
         return
     mids = (ticks[:-1] + ticks[1:]) / 2.0
-    jobs, col = _owner_columns(ts, owners, np.array(procs.pids, dtype=object)[proc])
+    ms = np.rint(ticks * 1000)  # whole milliseconds, as _ms; a sum of two is exact below 2**52 ms
+    twice_mids = ms[:-1] + ms[1:]
+    jobs, col = _owner_columns(ts, owners, pids[proc])
     n_jobs = len(jobs)
 
     def per_job(key: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         return np.bincount(key, weights, minlength=n * n_jobs).reshape(n, n_jobs)
 
     def lerp_covered(s_ts: np.ndarray, s_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A ts-sorted series linearly interpolated at the midpoints, and which midpoints its span covers."""
-        return np.interp(mids, s_ts, s_w), (mids >= s_ts[0]) & (mids <= s_ts[-1])
+        """A ts-sorted series linearly interpolated at the midpoints, and which midpoints its span covers, in ms."""
+        first, last = 2 * np.rint(s_ts[[0, -1]] * 1000)
+        return np.interp(mids, s_ts, s_w), (twice_mids >= first) & (twice_mids <= last)
 
     cpu_power = np.zeros(n)
     for kind, _, s_ts, s_w in series:
@@ -270,15 +272,10 @@ def _node_slices(out: SliceColumns, node: str, chunk: np.ndarray, columns: dict,
 
     # a delta needs both endpoints; processes that appear or vanish
     # mid-interval contribute nothing observable
-    by_proc = np.argsort(proc, kind="stable")
-    a, b = by_proc[:-1], by_proc[1:]
-    linked = (proc[a] == proc[b]) & (tick[b] == tick[a] + 1)
-    nxt = np.full(len(ts), -1)
-    nxt[a[linked]] = b[linked]
-    both = nxt >= 0  # in record order, which bincount keeps when it adds
-    key = tick[both] * n_jobs + col[both]
+    a = np.flatnonzero((proc[1:] == proc[:-1]) & (tick[1:] == tick[:-1] + 1))  # a and a + 1 are one process
+    key = tick[a] * n_jobs + col[a]  # bincount adds each (slice, job) bin's records in pid order
     cpu_s = columns["cpu"]
-    deltas = per_job(key, cpu_s[chunk[nxt[both]]] - cpu_s[chunk[both]])
+    deltas = per_job(key, cpu_s[chunk[a + 1]] - cpu_s[chunk[a]])
     seen = per_job(key) > 0
     negative = seen & (deltas < 0)
     if negative.any():
@@ -291,7 +288,7 @@ def _node_slices(out: SliceColumns, node: str, chunk: np.ndarray, columns: dict,
     for kind, index, s_ts, s_w in series:
         if kind == GPU:
             values, covered = lerp_covered(s_ts, s_w)
-            on = (tick < n) & (gpu == (procs.gpus.index(index) if index in procs.gpus else -2))
+            on = (tick < n) & (gpu == (gpus.index(index) if index in gpus else -2))
             key = tick[on] * n_jobs + col[on]
             sm, mem = (np.where(np.isnan(v), 0.0, v) for v in (columns["sm"][chunk[on]], columns["mem"][chunk[on]]))
             present = per_job(key) > 0
@@ -343,21 +340,21 @@ def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerInde
     ):
         series.setdefault(node, []).append((source.kind, source.index, np.frombuffer(ts), np.frombuffer(w)))
 
-    def rank(values: list) -> np.ndarray:  # each value's place in sorted order
-        return np.argsort(np.argsort(np.array(values, dtype=object), kind="stable"), kind="stable")
-
-    proc = np.frombuffer(procs.proc, dtype=np.int32)
-    ts = np.frombuffer(procs.ts)
-    node = rank(procs.nodes)[np.asarray(procs.node_of)[proc]]
-    order = np.lexsort((rank(procs.pids)[proc], ts, node))
+    pids = np.array(procs.pids, dtype=object)
+    by_name = sorted(range(len(pids)), key=lambda p: (procs.nodes[procs.node_of[p]], procs.pids[p]))
+    rank = np.empty(len(pids), dtype=np.int64)
+    rank[by_name] = np.arange(len(pids))  # each process's place in (node name, pid) order
+    proc, ts = np.frombuffer(procs.proc, dtype=np.int32), np.frombuffer(procs.ts)
+    order = np.lexsort((ts, rank[proc]))
     repeated = (proc[order][1:] == proc[order][:-1]) & (ts[order][1:] == ts[order][:-1])
     order = order[np.append(~repeated, True)]  # lexsort is stable: keep the last copy
+    node = np.asarray(procs.node_of)[proc[order]]
     columns = {"proc": proc, "ts": ts, "gpu": np.frombuffer(procs.gpu, dtype=np.int32)}
     columns.update((k, np.frombuffer(getattr(procs, k))) for k in ("cpu", "sm", "mem"))
     with np.errstate(over="ignore", invalid="ignore"):  # _node_slices reports power beyond the float range
-        for chunk in np.split(order, np.flatnonzero(np.diff(node[order])) + 1):
+        for chunk in np.split(order, np.flatnonzero(np.diff(node)) + 1):
             name = procs.nodes[procs.node_of[proc[chunk[0]]]]
-            _node_slices(out, name, chunk, columns, series.get(name, []), owners.get(name), procs)
+            _node_slices(out, name, chunk, columns, series.get(name, []), owners.get(name), pids, procs.gpus)
     return out
 
 
@@ -384,11 +381,20 @@ def attribute(
     return attribute_columns(power, procs, ownership_index(timelines)).slices()
 
 
-def _gap_rule(max_gap_s: float) -> Callable[[float], bool]:
-    """Whether a slice of a given duration is a monitoring gap: longer than max_gap_s."""
+def _ms(t: float) -> int | float:
+    """t in whole milliseconds: t * 1000 rounded to the nearest integer, ties to even."""
+    return round(t * 1000) if abs(t) < 2.0**52 else t * 1000  # past 2**52 s, t is whole and t * 1000 may be infinite
+
+
+def _gap_rule(max_gap_s: float) -> Callable[[float, float], bool]:
+    """Whether the slice [t0, t1] is a monitoring gap: longer than max_gap_s, in whole milliseconds.
+
+    The length in ms is exact and becomes seconds by one rounding (300 ms is 0.3), so the decision
+    does not depend on where in time the slice lies.
+    """
     if max_gap_s <= 0:
         raise ValueError("max_gap_s must be positive")
-    return lambda duration_s: duration_s > max_gap_s
+    return lambda t0, t1: (_ms(t1) - _ms(t0)) / 1000 > max_gap_s
 
 
 def integrate_energy(
@@ -427,9 +433,9 @@ def integrate_energy(
 
     job, cpu, gpu, ext = cols.job, cols.cpu, cols.gpu, cols.ext
     for i in ordered:
-        dt = t1[i] - t0[i]
-        if is_gap(dt):
+        if is_gap(t0[i], t1[i]):
             continue
+        dt = t1[i] - t0[i]
         for e in range(start[i], start[i + 1]):
             b = bucket(job[e])
             b[0] += cpu[e] * dt
@@ -503,7 +509,7 @@ def slice_coverage(slices: SliceColumns | Sequence[AttributionSlice], max_gap_s:
     n_excluded = 0
     for t0, t1 in zip(cols.t0, cols.t1):
         dt = t1 - t0
-        if is_gap(dt):
+        if is_gap(t0, t1):
             excluded += dt
             n_excluded += 1
         else:

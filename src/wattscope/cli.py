@@ -22,7 +22,7 @@ import sys
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-from .errors import MalformedLine, TraceError, WattscopeError
+from .errors import MalformedLine, WattscopeError
 
 if TYPE_CHECKING:
     from .attribution import SliceColumns
@@ -138,46 +138,45 @@ def _parse_file(path: str, parser_fn: Callable, *args):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return parser_fn(fh, *args)
-    except TraceError as exc:
+    except WattscopeError as exc:
         raise _InputError(path, exc) from exc
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
 
 
-def _load_capacities(path: str) -> dict[tuple[str, int], float]:
+def _read_capacities(fh: TextIO) -> dict[tuple[str, int], float]:
     """Read {"node": {"gpu_index": capacity_mib, ...}, ...}; a key repeated within an object is an error."""
 
     def unique(pairs: list) -> dict:  # json.load alone would keep the last of two equal keys
         obj: dict = {}
         for key, value in pairs:
             if key in obj:
-                raise WattscopeError(f"{path}: repeated key {key!r}")
+                raise WattscopeError(f"repeated key {key!r}")
             obj[key] = value
         return obj
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh, object_pairs_hook=unique)
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-        except (ValueError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deeply
-            raise WattscopeError(f"{path}: invalid JSON: {exc}") from None
+    # json numbers lines by "\n" alone and _parse_file keeps "\r", so end every line with "\n", as text mode does
+    text = fh.read().replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        raw = json.loads(text, object_pairs_hook=unique)
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deeply
+        raise WattscopeError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise WattscopeError(f"{path}: capacities must be an object keyed by node")
+        raise WattscopeError("capacities must be an object keyed by node")
     out: dict[tuple[str, int], float] = {}
     for node, per_gpu in raw.items():
         if not isinstance(per_gpu, dict):
-            raise WattscopeError(f"{path}: capacities for node {node!r} must be an object")
+            raise WattscopeError(f"capacities for node {node!r} must be an object")
         for key, mib in per_gpu.items():
             try:
                 index = int(key)
                 if str(index) != key:  # "01" would alias gpu 1
                     raise ValueError
             except ValueError:
-                raise WattscopeError(f"{path}: invalid gpu index {key!r}") from None
+                raise WattscopeError(f"invalid gpu index {key!r}") from None
             # NaN, an infinity, and an integer too large for a float would each bin wrongly or fail later
             if isinstance(mib, bool) or not isinstance(mib, (int, float)) or not 0 < mib <= sys.float_info.max:
-                raise WattscopeError(f"{path}: invalid capacity for ({node}, {key})")
+                raise WattscopeError(f"invalid capacity for ({node}, {key})")
             out[(node, index)] = float(mib)
     return out
 
@@ -306,7 +305,7 @@ def _cmd_report(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
         _require(args, ("proc",), "report gpu-hist")
         procs = _parse_file(args.proc, read_proc_trace)
-        capacities = _load_capacities(args.capacities) if args.capacities else None
+        capacities = _parse_file(args.capacities, _read_capacities) if args.capacities else None
         job_of = None
         if args.per_job_mean:
             from .jobs import owner_at

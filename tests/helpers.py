@@ -85,6 +85,18 @@ def lerp_series(points: list[tuple[float, float]], t: float) -> float | None:
     return points[-1][1]
 
 
+def lerp_at_midpoint(points: list[tuple[float, float]], t0: float, t1: float) -> float | None:
+    """A series at the midpoint of [t0, t1]; None unless its span covers that midpoint in whole milliseconds.
+
+    Coverage is exact: 2 * first_ms <= t0_ms + t1_ms <= 2 * last_ms.  The value is lerp_series at the
+    float midpoint, held within the span where rounding puts the midpoint just outside it.
+    """
+    twice_mid = round(t0 * 1000) + round(t1 * 1000)
+    if not 2 * round(points[0][0] * 1000) <= twice_mid <= 2 * round(points[-1][0] * 1000):
+        return None
+    return lerp_series(points, min(max((t0 + t1) / 2.0, points[0][0]), points[-1][0]))
+
+
 def latest_snapshot_at(snapshots, node: str, t: float) -> PidMapSnapshot | None:
     best = None
     for s in snapshots:
@@ -145,10 +157,11 @@ def naive_attribute(power, procs, pidmap_snaps):
     """Full-materialization reference: one dict per interval per node.
 
     Implements the documented semantics directly: midpoint power per
-    series (skipping series not covering the midpoint), cpu deltas from
-    pids present at both endpoints, ownership from the latest pidmap
-    snapshot at or before the interval start, GPU activity from the
-    snapshot at interval start, shares in rational arithmetic.
+    series (skipping series whose span misses the midpoint in whole
+    milliseconds), cpu deltas from pids present at both endpoints,
+    ownership from the latest pidmap snapshot at or before the interval
+    start, GPU activity from the snapshot at interval start, shares in
+    rational arithmetic.
     """
     series: dict[tuple[str, str, int | None], list[tuple[float, float]]] = {}
     for s in power:
@@ -164,11 +177,10 @@ def naive_attribute(power, procs, pidmap_snaps):
     for node in sorted(by_node):
         ts_list = sorted(by_node[node])
         for t0, t1 in zip(ts_list, ts_list[1:]):
-            mid = (t0 + t1) / 2.0
             cpu_p = 0.0
             for key in sorted(series, key=lambda k: -1 if k[2] is None else k[2]):
                 if key[0] == node and key[1] == "cpu":
-                    v = lerp_series(series[key], mid)
+                    v = lerp_at_midpoint(series[key], t0, t1)
                     if v is not None:
                         cpu_p += v
             at0 = by_node[node][t0]
@@ -184,7 +196,7 @@ def naive_attribute(power, procs, pidmap_snaps):
             gpu_un = 0.0
             gpu_idxs = sorted(k[2] for k in series if k[0] == node and k[1] == "gpu")
             for g in gpu_idxs:
-                v = lerp_series(series[(node, "gpu", g)], mid)
+                v = lerp_at_midpoint(series[(node, "gpu", g)], t0, t1)
                 if v is None:
                     continue
                 on_g = []

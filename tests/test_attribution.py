@@ -325,6 +325,14 @@ class TestAttribute:
         with_copy = dict(sc, procs=sc["procs"][:3] + [proc_snap("n1", 10.0, 42, 9.0, gpu=0, sm=5.0)] + sc["procs"][3:])
         assert run_attribution(with_copy) == run_attribution(sc)
 
+    def test_an_instant_read_as_minus_zero_and_zero_starts_at_its_lowest_pids_ts(self):
+        # -0.0 == 0.0, so both name one instant, and t0 prints as its lowest pid has it; with this many
+        # pids an unstable sort of the node's ts would put another pid's 0.0 first
+        procs = [proc_snap("n1", ts, pid, 0.0) for pid in range(2, 1000) for ts in (1.0, 0.0)]
+        procs = [p._replace(ts=-0.0) if p.ts == 0.0 and (p.pid == 2 or p.pid * 7919 % 5 < 2) else p for p in procs]
+        cols = attribute_columns(read_power_trace([]), read_proc_trace(jsonl(procs).splitlines()), {})
+        assert serialize_slices(cols).startswith('{"node":"n1","t0":-0.0,"t1":1.0,')
+
     def test_fewer_than_two_snapshots_yields_no_slices(self):
         sc = self.flat_scenario()
         sc["procs"] = sc["procs"][:2]
@@ -495,6 +503,21 @@ class TestIntegrateEnergy:
         energies = integrate_energy([s], max_gap_s=60.0)
         assert close(energies[7].ext_kwh, 150.0 * 36.0 / 3.6e6, rel=1e-12)
         assert close(energies[0].ext_kwh, 5.0 * 36.0 / 3.6e6, rel=1e-12)
+
+    @pytest.mark.parametrize("t0", [0.007, 1.0, 7.007, 1000.25, 65535.999, 1.729e9])
+    def test_a_slice_is_a_gap_by_its_whole_milliseconds_wherever_it_lies(self, t0):
+        # in float seconds, 17.007 - 7.007 > 10.0, and the ties sit where t0 and t1 straddle a power of two
+        exact = make_slice(t0=t0, t1=round(t0 + 10.0, 3), jobs={7: JobPower(360.0, 0.0)})
+        longer = make_slice(t0=round(t0 + 10.0, 3), t1=round(t0 + 20.001, 3), jobs={7: JobPower(1e6, 0.0)})
+        assert slice_coverage([exact, longer]).n_excluded == 1
+        assert close(integrate_energy([exact, longer])[7].cpu_kwh, 360.0 * 10.0 / 3.6e6)
+        assert slice_coverage([make_slice(t0=t0, t1=round(t0 + 0.3, 3))], max_gap_s=0.3).n_excluded == 0
+        assert slice_coverage([make_slice(t0=t0, t1=round(t0 + 0.301, 3))], max_gap_s=0.3).n_excluded == 1
+
+    def test_off_grid_slice_ends_count_as_their_nearest_millisecond(self):
+        assert slice_coverage([make_slice(t0=0.0, t1=10.0004)]).n_excluded == 0
+        assert slice_coverage([make_slice(t0=0.0004, t1=10.0006)]).n_excluded == 1
+        assert slice_coverage([make_slice(t0=1e300, t1=2e300)]).n_excluded == 1  # t * 1000 is infinite here
 
     def test_bad_max_gap(self):
         with pytest.raises(ValueError):

@@ -556,6 +556,15 @@ class TestGpuHist:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: WattscopeError: {caps}: invalid JSON: maximum recursion depth exceeded"), err
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_invalid_json_is_located_with_universal_newlines(self, gpu_fixture, tmp_path, newline):
+        # json counts only "\n" as a line end; capacities are read as text mode reads, with each ending as "\n"
+        caps = tmp_path / "caps.json"
+        caps.write_bytes(newline.join(['{"n1": {', '"0": 16000.0,', ' "1": x}}']).encode())
+        code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", str(caps))
+        assert (code, out) == (1, "")
+        assert err == f"error: WattscopeError: {caps}: invalid JSON: Expecting value: line 3 column 7 (char 29)\n"
+
     def test_capacities_that_are_not_utf8_are_located(self, gpu_fixture, tmp_path):
         caps = with_byte_ff(write_lines(tmp_path / "caps.json", ['{"n1": {', '"0": 16000.0}}']), 2, tmp_path)
         code, out, err = run_cli("report", "gpu-hist", "--proc", gpu_fixture["proc"], "--metric", "mem", "--capacities", caps)

@@ -16,9 +16,9 @@ one job moves exactly its CPU energy to the unattributed bucket.  These
 run through the CLI and report the first failing example unshrunk, since
 shrinking would rerun the CLI for minutes.  In process, through the
 readers, attribute_columns and integrate_energy: shifting every timestamp
-by whole seconds leaves every energy unchanged at REL 1e-9, except where a
-midpoint falls exactly on a series' first or last sample (an expected
-failure below).
+by whole seconds leaves every energy unchanged at REL 1e-9, also where a
+midpoint falls exactly on a series' first or last sample, or a slice lasts
+exactly the longest gap, since both are decided in whole milliseconds.
 
 A float reference, one slice at a time, pins the order of every sum
 (pids ascending, then job ids, then GPU indices), so that the output is
@@ -378,16 +378,14 @@ class TestMetamorphic:
     @given(scenarios, st.integers(min_value=-10**5, max_value=10**5).filter(bool))
     @example({"seed": 0, "n_jobs": 3, "n_gpus": 2, "n_intervals": 40, "n_nodes": 2}, -7)
     @example({"seed": 1, "n_jobs": 3, "n_gpus": 2, "n_intervals": 40, "n_nodes": 2}, 86_400)
+    @example({"seed": 3034, "n_jobs": 1, "n_gpus": 0, "n_intervals": 2, "n_nodes": 2}, 2048)  # a midpoint on a series' start
     def test_shifting_time_by_whole_seconds_keeps_every_energy(self, params, shift):
-        # in process: the readers round ts + shift to the millisecond again, so slice bytes may differ, energies not;
-        # a midpoint exactly on a series' first or last sample is left out, see the test below
+        # in process: the readers round ts + shift to the millisecond again, so slice bytes may differ, energies not
         sc = make_scenario(params)
-        assume(not midpoint_on_a_series_end(sc))
         assert_same_energies(energies_in_process(shift_time(sc, shift)), energies_in_process(sc))
 
-    @pytest.mark.xfail(strict=True, reason="whether a series covers a midpoint it starts on depends on float rounding")
     def test_shifting_time_keeps_a_series_that_starts_at_a_midpoint(self):
-        # (0.0 + 0.81) / 2 == 0.405, but (7.0 + 7.81) / 2 < 7.405, so the shifted slice loses the cpu0 series
+        # (0.0 + 0.81) / 2 == 0.405, but (7.0 + 7.81) / 2 < 7.405: in float seconds the shifted slice would lose cpu0
         sc = {
             "power": [power_sample("n1", "cpu0", 0.405, 100.0), power_sample("n1", "cpu0", 2.0, 100.0)],
             "procs": [proc_snap("n1", 0.0, 41, 0.0), proc_snap("n1", 0.81, 41, 0.5)],
@@ -396,6 +394,27 @@ class TestMetamorphic:
         }
         assert midpoint_on_a_series_end(sc)
         assert_same_energies(energies_in_process(shift_time(sc, 7)), energies_in_process(sc))
+
+    def test_shifting_time_keeps_a_slice_of_exactly_the_longest_gap(self, tmp_path):
+        # 10.007 - 0.007 == 10.0, but 17.007 - 7.007 > 10.0: in float seconds the shifted slice would be a gap
+        sc = {
+            "power": [power_sample("n1", "cpu0", -1.0, 100.0), power_sample("n1", "cpu0", 20.0, 100.0)],
+            "procs": [proc_snap("n1", 0.007, 11, 0.0), proc_snap("n1", 10.007, 11, 1.0)],
+            "pidmap": [pidmap_snap("n1", 0.0, {11: 1})],
+            "jobs": [job_record(1)],
+        }
+        kwh = []
+        for shift in (0, 7):
+            (tmp_path / str(shift)).mkdir()
+            paths = write_scenario(shift_time(sc, shift), tmp_path / str(shift))
+            rows = json.loads(cli("report", "status", *(f for name in ("power", "proc", "pidmap", "jobs")
+                                                       for f in (f"--{name}", paths[name])),
+                                  "--column", "cpu", "--format", "json"))["rows"]
+            kwh.append({r["status"]: r["cpu_kwh"] for r in rows})
+        assert math.isclose(kwh[0]["COMPLETED"], 100.0 * 10.0 / J_PER_KWH, rel_tol=REL)
+        assert kwh[1].keys() == kwh[0].keys()
+        for status, e in kwh[0].items():
+            assert math.isclose(kwh[1][status], e, rel_tol=REL)
 
 
 def shift_time(sc, shift: int) -> dict:
@@ -467,7 +486,9 @@ def ordered_float_attribute(power, procs, pidmap):
         ticks = sorted(by_node[node])
         for t0, t1 in zip(ticks, ticks[1:]):
             mid = (t0 + t1) / 2.0
-            at = {k: float(np.interp(mid, ts, w)) for k, (ts, w) in mine.items() if ts[0] <= mid <= ts[-1]}
+            twice_mid = round(t0 * 1000) + round(t1 * 1000)  # coverage in whole milliseconds
+            at = {k: float(np.interp(mid, ts, w)) for k, (ts, w) in mine.items()
+                  if 2 * round(ts[0] * 1000) <= twice_mid <= 2 * round(ts[-1] * 1000)}
             owner = {pid: owner_oracle(pidmap, node, pid, t0) or 0 for pid in by_node[node][t0]}
             at0, at1 = by_node[node][t0], by_node[node][t1]
             deltas = {}
@@ -516,3 +537,17 @@ class TestSummationOrder:
             for s in lib
         ]
         assert got == ordered_float_attribute(sc["power"], sc["procs"], sc["pidmap"])
+
+    def test_sums_run_in_pid_order_whatever_order_processes_are_first_seen(self):
+        # job 1's pids 30, 20 and 10 are first seen in that order; their cpu deltas and sm, 0.1, 0.2 and 0.3,
+        # add to 0.6000000000000001 in that order and to 0.6 in pid order.  Unowned pid 40 keeps the job's
+        # share below 1, so the sum's last bit reaches the watts.
+        power = [power_sample("n1", src, ts, 100.0) for src in ("cpu0", "gpu0") for ts in (0.0, 2.0)]
+        procs = [proc_snap("n1", ts, pid, ts * x, gpu=0, sm=x, mem=0.0)
+                 for ts in (0.0, 1.0) for pid, x in ((40, 1.0), (30, 0.1), (20, 0.2), (10, 0.3))]
+        pidmap = [pidmap_snap("n1", 0.0, {10: 1, 20: 1, 30: 1})]
+        cols = attribute_columns(read_power_trace(jsonl(power).splitlines()), read_proc_trace(jsonl(procs).splitlines()),
+                                 read_pidmap(jsonl(pidmap).splitlines()))
+        got = [(s.node_id, s.interval.t0, s.interval.t1, {j: (p.cpu_w, p.gpu_w) for j, p in s.per_job.items()},
+                s.unattributed_cpu_w, s.unattributed_gpu_w) for s in cols.slices()]
+        assert got == ordered_float_attribute(power, procs, pidmap)
