@@ -22,8 +22,7 @@ from .traces import (
     SM_PCT,
     ProcColumns,
     ProcSnapshot,
-    _render_csv,
-    _render_table,
+    _render,
 )
 
 if TYPE_CHECKING:  # calibrate and report gpu-hist load this module, and neither loads attribution or jobs
@@ -84,45 +83,36 @@ def _breakdown(
         if job_id not in by_id:
             raise UnknownJob(job_id)
 
-    groups: dict[str, list[JobRecord]] = {}
-    for job in jobs:
-        groups.setdefault(getattr(job, key_label), []).append(job)
-
-    sums: dict[str, dict[str, float]] = {}  # joules per column
-    for key, members in groups.items():
-        joules = dict.fromkeys(("gpu", "cpu", "ext"), 0.0)
-        # accumulate in ascending job id order so sums are reproducible
-        for job in sorted(members, key=lambda j: j.job_id):
-            energy = energies.get(job.job_id)
-            if energy is None:
-                continue
-            joules["gpu"] += energy.gpu_kwh * J_PER_KWH
-            joules["cpu"] += energy.cpu_kwh * J_PER_KWH
+    # key -> [n_jobs, gpu_j, cpu_j, ext_j]; jobs add in ascending id order, so sums are reproducible
+    groups: dict[str, list] = {}
+    for job in sorted(jobs, key=lambda j: j.job_id):
+        group = groups.setdefault(getattr(job, key_label), [0, 0.0, 0.0, 0.0])
+        group[0] += 1
+        energy = energies.get(job.job_id)
+        if energy is not None:
+            group[1] += energy.gpu_kwh * J_PER_KWH
+            group[2] += energy.cpu_kwh * J_PER_KWH
             if energy.ext_kwh is not None:
-                joules["ext"] += energy.ext_kwh * J_PER_KWH
-        sums[key] = joules
+                group[3] += energy.ext_kwh * J_PER_KWH
 
     # each job's energy is finite, but a group's sum, and the percentages of the total, need not be
-    for key, joules in sorted(sums.items()):
-        for name, value in joules.items():
+    names = ("gpu", "cpu", "ext")
+    at = 1 + names.index(column)  # the share column's place in a group
+    keyed = sorted(groups.items())
+    total = 0.0  # added left to right, as _left_sum adds
+    for key, group in keyed:
+        for name, value in zip(names, group[1:]):
             if not isfinite(value):
                 raise WattscopeError(f"{name} energy of {key_label} {key!r} is beyond the float range")
-    selected = {key: sums[key][column] for key in sorted(sums)}
-    total = _left_sum(selected.values())
+        total += group[at]
     if not isfinite(100.0 * total):
         raise WattscopeError(f"total {column} energy is too large to compute percentage shares")
     rows = [
-        BreakdownRow(
-            key=key,
-            n_jobs=len(groups[key]),
-            gpu_kwh=joules["gpu"] / J_PER_KWH,
-            cpu_kwh=joules["cpu"] / J_PER_KWH,
-            ext_kwh=joules["ext"] / J_PER_KWH,
-            share_pct=100.0 * selected[key] / total if total > 0 else 0.0,
-        )
-        for key, joules in sorted(sums.items())
+        BreakdownRow(key, group[0], *(joules / J_PER_KWH for joules in group[1:]),
+                     100.0 * group[at] / total if total > 0 else 0.0)
+        for key, group in keyed
     ]
-    rows.sort(key=lambda r: order(r.key, selected[r.key] / J_PER_KWH))
+    rows.sort(key=lambda r: order(r.key, groups[r.key][at] / J_PER_KWH))
     return BreakdownReport(key_label, column, tuple(rows))
 
 
@@ -194,20 +184,20 @@ def gpu_histogram(
 
     cols = procs if isinstance(procs, ProcColumns) else ProcColumns.of(procs)
     node_of = [cols.nodes[n] for n in cols.node_of]
+    readings, capacities = (cols.sm, None) if metric == SM_PCT else (cols.mem, gpu_mem_capacity_mib or {})
     values: list[float] = []
     keyed: dict[object, list[float]] = {}
     excluded = 0
     # in file order, so per-group sums and the first missing capacity match the records'
-    for p, ts, g, sm, mem in zip(cols.proc, cols.ts, cols.gpu, cols.sm, cols.mem):
+    for p, ts, g, value in zip(cols.proc, cols.ts, cols.gpu, readings):
         if g < 0:
             continue
-        value = sm if metric == SM_PCT else mem
         if value != value:  # NaN: not observed
             excluded += 1
             continue
-        if metric == MEM_PCT:
+        if capacities is not None:
             node, gpu = node_of[p], cols.gpus[g]
-            capacity = (gpu_mem_capacity_mib or {}).get((node, gpu))
+            capacity = capacities.get((node, gpu))
             if capacity is None:
                 raise MissingCapacity(gpu, node)
             if capacity <= 0:
@@ -235,76 +225,32 @@ def _fmt_kwh(value: float) -> str:
     return format(value, ".6g")
 
 
-def _breakdown_cells(report: BreakdownReport) -> tuple[list[str], list[list[str]]]:
-    header = [
-        report.key_label,
-        "n_jobs",
-        "gpu_kwh",
-        "cpu_kwh",
-        "ext_kwh",
-        f"{report.column}_share_pct",
-    ]
-    rows = [
-        [
-            r.key,
-            str(r.n_jobs),
-            _fmt_kwh(r.gpu_kwh),
-            _fmt_kwh(r.cpu_kwh),
-            _fmt_kwh(r.ext_kwh),
-            str(round(r.share_pct)),
-        ]
-        for r in report.rows
-    ]
-    return header, rows
-
-
 def render_report(report: BreakdownReport | UtilizationHistogram, fmt: str = "text") -> str:
     """Render a report deterministically as text, csv or json.
 
     csv and text round the share column to whole percent for reading;
     json carries exact values for downstream tooling.
     """
-    if fmt not in ("text", "csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-
     if isinstance(report, UtilizationHistogram):
-        if fmt == "json":
-            obj = {
-                "metric": report.metric,
-                "edges": list(report.bin_edges),
-                "counts": list(report.counts),
-                "n": report.n_samples,
-                "excluded": report.excluded,
-            }
-            return json.dumps(obj, separators=(",", ":")) + "\n"
+        obj: dict = {
+            "metric": report.metric,
+            "edges": list(report.bin_edges),
+            "counts": list(report.counts),
+            "n": report.n_samples,
+            "excluded": report.excluded,
+        }
         header = ["bin_start", "bin_end", "count"]
-        rows = [
+        rows = (
             [_fmt_kwh(lo), _fmt_kwh(hi), str(c)]
             for lo, hi, c in zip(report.bin_edges, report.bin_edges[1:], report.counts)
-        ]
-        if fmt == "csv":
-            return _render_csv(header, rows)
-        body = _render_table(header, rows)
+        )
         tail = f"n={report.n_samples} excluded={report.excluded} metric={report.metric}\n"
-        return body + tail
-
-    header, rows = _breakdown_cells(report)
-    if fmt == "csv":
-        return _render_csv(header, rows)
-    if fmt == "text":
-        return _render_table(header, rows)
-    share_key = f"{report.column}_share_pct"
-    obj = {
-        "rows": [
-            {
-                report.key_label: r.key,
-                "n_jobs": r.n_jobs,
-                "gpu_kwh": r.gpu_kwh,
-                "cpu_kwh": r.cpu_kwh,
-                "ext_kwh": r.ext_kwh,
-                share_key: r.share_pct,
-            }
+    else:
+        header = [report.key_label, "n_jobs", "gpu_kwh", "cpu_kwh", "ext_kwh", f"{report.column}_share_pct"]
+        obj = {"rows": [dict(zip(header, r)) for r in report.rows]}
+        rows = (
+            [r.key, str(r.n_jobs), _fmt_kwh(r.gpu_kwh), _fmt_kwh(r.cpu_kwh), _fmt_kwh(r.ext_kwh), str(round(r.share_pct))]
             for r in report.rows
-        ]
-    }
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+        )
+        tail = ""
+    return _render(fmt, header, rows, json.dumps(obj, separators=(",", ":")) + "\n", tail)

@@ -392,7 +392,7 @@ def _gap_rule(max_gap_s: float) -> Callable[[float, float], bool]:
     The length in ms is exact and becomes seconds by one rounding (300 ms is 0.3), so the decision
     does not depend on where in time the slice lies.
     """
-    if max_gap_s <= 0:
+    if not max_gap_s > 0:  # NaN too
         raise ValueError("max_gap_s must be positive")
     return lambda t0, t1: (_ms(t1) - _ms(t0)) / 1000 > max_gap_s
 
@@ -416,53 +416,38 @@ def integrate_energy(
     is_gap = _gap_rule(max_gap_s)
     cols = _columns(slices)
     nodes, node, t0, t1, start = cols.nodes, cols.node, cols.t0, cols.t1, cols.start
-    ordered = sorted(range(len(cols)), key=lambda i: (nodes[node[i]], t0[i]))
-    last_end: dict[int, float] = {}
-    for i in ordered:
-        prev = last_end.get(node[i])
-        if prev is not None and t0[i] < prev:
-            raise OverlappingSlices(nodes[node[i]], t0[i])
-        last_end[node[i]] = t1[i]
-
-    acc: dict[int, list] = {}  # job number -> [cpu_j, gpu_j, ext_j, ext_seen]
-    ids = cols.jobs + [UNATTRIBUTED_JOB]
-    unattributed = cols._job_no.get(UNATTRIBUTED_JOB, len(cols.jobs))  # job 0's bucket, if it has entries
-
-    def bucket(j: int) -> list:
-        return acc.setdefault(j, [0.0, 0.0, 0.0, False])
-
     job, cpu, gpu, ext = cols.job, cols.cpu, cols.gpu, cols.ext
-    for i in ordered:
+    ids = cols.jobs + [UNATTRIBUTED_JOB]
+    unattributed = ids.index(UNATTRIBUTED_JOB)  # job 0's own number where entries name it, so they share its bucket
+    acc: dict[int, list] = {}  # job number -> [cpu_j, gpu_j, ext_j], ext_j None until an ext watt adds to 0.0
+    last_node = last_end = None
+    for i in sorted(range(len(cols)), key=lambda i: (nodes[node[i]], t0[i])):
+        if node[i] == last_node and t0[i] < last_end:
+            raise OverlappingSlices(nodes[node[i]], t0[i])
+        last_node, last_end = node[i], t1[i]
         if is_gap(t0[i], t1[i]):
             continue
         dt = t1[i] - t0[i]
         for e in range(start[i], start[i + 1]):
-            b = bucket(job[e])
+            b = acc.get(job[e]) or acc.setdefault(job[e], [0.0, 0.0, None])
             b[0] += cpu[e] * dt
             b[1] += gpu[e] * dt
             if ext[e] == ext[e]:
-                b[2] += ext[e] * dt
-                b[3] = True
-        b = bucket(unattributed)
+                b[2] = (b[2] or 0.0) + ext[e] * dt
+        b = acc.get(unattributed) or acc.setdefault(unattributed, [0.0, 0.0, None])
         b[0] += cols.unattr_cpu[i] * dt
         b[1] += cols.unattr_gpu[i] * dt
         if cols.unattr_ext[i] == cols.unattr_ext[i]:
-            b[2] += cols.unattr_ext[i] * dt
-            b[3] = True
+            b[2] = (b[2] or 0.0) + cols.unattr_ext[i] * dt
 
-    totals = sorted((ids[j], vals) for j, vals in acc.items())
-    for job_id, vals in totals:
-        if not all(map(isfinite, vals[:3])):
+    totals = sorted((ids[j], joules) for j, joules in acc.items())
+    for job_id, joules in totals:
+        if not all(isfinite(v) for v in joules if v is not None):
             who = "unattributed power" if job_id == UNATTRIBUTED_JOB else f"job {job_id}"
             raise WattscopeError(f"energy of {who} is beyond the float range")
     return {
-        job_id: JobEnergy(
-            job_id,
-            cpu_kwh=vals[0] / J_PER_KWH,
-            gpu_kwh=vals[1] / J_PER_KWH,
-            ext_kwh=vals[2] / J_PER_KWH if vals[3] else None,
-        )
-        for job_id, vals in totals
+        job_id: JobEnergy(job_id, cpu_j / J_PER_KWH, gpu_j / J_PER_KWH, None if ext_j is None else ext_j / J_PER_KWH)
+        for job_id, (cpu_j, gpu_j, ext_j) in totals
     }
 
 

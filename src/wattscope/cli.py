@@ -267,33 +267,22 @@ def _cmd_attribute(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from .calibration import fit_nodes, serialize_models
-    from .traces import EXT, _render_csv, _render_table, read_power_trace
+    from .traces import EXT, _render, read_power_trace
 
     _require(args, ("power", "external"), "calibrate")
     software = _parse_file(args.power, read_power_trace)
     external = _parse_file(args.external, read_power_trace, EXT)
     models = fit_nodes(software, external)
+    lines = serialize_models(models)
     if args.model is not None:
         with open(args.model, "w", encoding="utf-8") as fh:
-            fh.write(serialize_models(models))
-    if args.format == "json":
-        out.write(serialize_models(models))
-    else:
-        header = ["node", "k", "mape_pct", "energy_err_pct", "n"]
-        rows = [
-            [
-                m.node_id,
-                format(m.k, ".6g"),
-                format(m.mape_pct, ".6g"),
-                format(m.energy_err_pct, ".6g") if m.energy_err_pct is not None else "-",
-                str(m.n_points),
-            ]
-            for m in models
-        ]
-        if args.format == "csv":
-            out.write(_render_csv(header, rows))
-        else:
-            out.write(_render_table(header, rows))
+            fh.write(lines)
+    rows = (
+        [m.node_id, format(m.k, ".6g"), format(m.mape_pct, ".6g"),
+         format(m.energy_err_pct, ".6g") if m.energy_err_pct is not None else "-", str(m.n_points)]
+        for m in models
+    )
+    out.write(_render(args.format, ["node", "k", "mape_pct", "energy_err_pct", "n"], rows, lines))
     return 0
 
 

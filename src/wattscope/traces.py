@@ -54,7 +54,7 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(header: list[str], rows: list[list[str]]) -> str:
+def _render_csv(header: list[str], rows: Iterable[list[str]]) -> str:
     import csv  # only csv output needs it
     import io
 
@@ -63,6 +63,17 @@ def _render_csv(header: list[str], rows: list[list[str]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _render(fmt: str, header: list[str], rows: Iterable[list[str]], json_text: str, tail: str = "") -> str:
+    """One table as "text" (followed by tail), "csv" or "json" (json_text); rows are read for text and csv only."""
+    if fmt == "json":
+        return json_text
+    if fmt == "csv":
+        return _render_csv(header, rows)
+    if fmt == "text":
+        return _render_table(header, list(rows)) + tail
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def canonical_ts(value: float) -> float:
@@ -237,28 +248,31 @@ def _reject_constant(token: str) -> float:
 
 
 # One decoder serves every line; json.loads(..., parse_constant=...) would
-# build a new one per call.  iter_records strips each line first, so
-# raw_decode plus a check that the object ends the line accepts exactly
-# what decode() accepts, without its two whitespace scans.
+# build a new one per call.  iter_records strips each line of JSON's own
+# whitespace first, so raw_decode plus a check that the object ends the line
+# accepts exactly what decode() accepts, without its two whitespace scans.
 _raw_decode = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
 
 
-def iter_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def iter_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, object) for each non-blank line; locate any failure.
 
     Line numbers are 1-based.  Blank lines (e.g. a trailing newline) are
     skipped.  Anything that is not a single JSON object with finite numbers
-    raises MalformedLine at the offending line.
+    raises MalformedLine at the offending line.  Lines may be bytes, as from
+    a file opened in binary mode; they are read as UTF-8 text.
     """
     for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
+        if not isinstance(raw, str):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise MalformedLine(line_no, "not UTF-8 text") from None
+        text = raw.strip(" \t\n\r")  # not strip(), which also takes \x0c, \xa0, \u2028 and other non-JSON spaces
         if not text:
             continue
         try:
-            if isinstance(text, str):
-                obj, end = _raw_decode(text)
-            else:  # bytes, e.g. from a file opened in binary mode
-                obj, end = json.loads(text, parse_constant=_reject_constant), len(text)
+            obj, end = _raw_decode(text)
         except (ValueError, RecursionError):
             raise MalformedLine(line_no, "invalid JSON") from None
         if end != len(text):

@@ -85,16 +85,32 @@ def lerp_series(points: list[tuple[float, float]], t: float) -> float | None:
     return points[-1][1]
 
 
-def lerp_at_midpoint(points: list[tuple[float, float]], t0: float, t1: float) -> float | None:
-    """A series at the midpoint of [t0, t1]; None unless its span covers that midpoint in whole milliseconds.
+def covers_midpoint(first: float, last: float, t0: float, t1: float) -> bool:
+    """Whether a series spanning [first, last] covers the midpoint of [t0, t1], in whole milliseconds.
 
-    Coverage is exact: 2 * first_ms <= t0_ms + t1_ms <= 2 * last_ms.  The value is lerp_series at the
-    float midpoint, held within the span where rounding puts the midpoint just outside it.
+    Coverage is exact: 2 * first_ms <= t0_ms + t1_ms <= 2 * last_ms.
     """
-    twice_mid = round(t0 * 1000) + round(t1 * 1000)
-    if not 2 * round(points[0][0] * 1000) <= twice_mid <= 2 * round(points[-1][0] * 1000):
+    return 2 * round(first * 1000) <= round(t0 * 1000) + round(t1 * 1000) <= 2 * round(last * 1000)
+
+
+def lerp_at_midpoint(points: list[tuple[float, float]], t0: float, t1: float) -> float | None:
+    """A series at the midpoint of [t0, t1]; None unless covers_midpoint.
+
+    The value is lerp_series at the float midpoint, held within the span
+    where rounding puts the midpoint just outside it.
+    """
+    if not covers_midpoint(points[0][0], points[-1][0], t0, t1):
         return None
     return lerp_series(points, min(max((t0 + t1) / 2.0, points[0][0]), points[-1][0]))
+
+
+def is_gap(t0: float, t1: float, max_gap_s: float = GAP_DEFAULT_S) -> bool:
+    """Whether the slice [t0, t1] is a monitoring gap: longer than max_gap_s, in whole milliseconds.
+
+    The length is a whole number of ms, made seconds by one division, so a
+    slice of 300 ms is not a gap under 0.3 s wherever it lies.
+    """
+    return (round(t1 * 1000) - round(t0 * 1000)) / 1000 > max_gap_s
 
 
 def latest_snapshot_at(snapshots, node: str, t: float) -> PidMapSnapshot | None:

@@ -32,8 +32,10 @@ from wattscope import (
     parse_slices,
 )
 from helpers import (
+    covers_midpoint,
     grid_fit_oracle,
     hist_counts_oracle,
+    is_gap,
     job_record,
     jsonl,
     naive_attribute,
@@ -76,15 +78,19 @@ def test_1_status_share_reproduction(capsys):
     criterion(1, "per-status energy shares 40/13/5/41", 1.0, capsys, body)
 
 
-def lerp_at(ts_list, w_list, t):
-    """Independent bisect-based linear interpolation, None outside the span."""
-    if not ts_list or t < ts_list[0] or t > ts_list[-1]:
+def lerp_at_midpoint(ts_list, w_list, t0, t1):
+    """Independent bisect-based linear interpolation at the midpoint of [t0, t1]; None unless covers_midpoint.
+
+    A midpoint that rounding puts just outside the span is held within it.
+    """
+    if not ts_list or not covers_midpoint(ts_list[0], ts_list[-1], t0, t1):
         return None
+    t = min(max((t0 + t1) / 2.0, ts_list[0]), ts_list[-1])
     i = bisect_right(ts_list, t) - 1
     if i >= len(ts_list) - 1:
         return w_list[-1]
-    t0, t1 = ts_list[i], ts_list[i + 1]
-    return w_list[i] + (w_list[i + 1] - w_list[i]) * (t - t0) / (t1 - t0)
+    a, b = ts_list[i], ts_list[i + 1]
+    return w_list[i] + (w_list[i + 1] - w_list[i]) * (t - a) / (b - a)
 
 
 def test_2_energy_conservation(capsys):
@@ -132,13 +138,12 @@ def test_2_energy_conservation(capsys):
                     got["gpu"] += e.gpu_kwh * 3.6e6
                 want = {"cpu": 0.0, "gpu": 0.0}
                 for s in node_slices:
-                    dt = s.interval.duration_s
-                    if dt > 10.0:
+                    if is_gap(*s.interval, 10.0):
                         continue
-                    mid = s.interval.midpoint
+                    dt = s.interval.duration_s
                     for kind in ("cpu", "gpu"):
                         for ts_list, w_list in per_source.get((node, kind), []):
-                            v = lerp_at(ts_list, w_list, mid)
+                            v = lerp_at_midpoint(ts_list, w_list, *s.interval)
                             if v is not None:
                                 want[kind] += v * dt
                 for kind in ("cpu", "gpu"):

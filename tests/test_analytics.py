@@ -128,6 +128,26 @@ class TestStatusBreakdown:
         rows = json.loads(render_report(report, "json"))["rows"]
         assert {row["status"]: row["ext_share_pct"] for row in rows}["CANCELLED"] == 100.0
 
+    def test_jobs_add_to_their_group_in_ascending_id_order_whatever_the_record_order(self):
+        # 1e16 J + 1 J rounds back to 1e16 J, so adding job 3 first would lose both small joules
+        energies = {1: energy(1, ext=1 / 3.6e6), 2: energy(2, ext=1 / 3.6e6), 3: energy(3, ext=1e16 / 3.6e6)}
+        joules = 0.0
+        for job_id in (1, 2, 3):
+            joules += energies[job_id].ext_kwh * 3.6e6
+        assert joules != (energies[3].ext_kwh * 3.6e6 + 1.0) + 1.0
+        jobs = [job_record(3), job_record(1), job_record(2)]
+        (row,) = aggregate_by_status(jobs, energies).rows
+        assert row.ext_kwh == joules / 3.6e6
+
+    def test_a_repeated_job_record_counts_in_each_of_its_groups_and_a_job_without_energy_counts_too(self):
+        jobs = [job_record(7, user="a"), job_record(8, user="a", status="FAILED"), job_record(7, user="b")]
+        energies = {7: energy(7, ext=1.0, gpu=2.0, cpu=3.0)}
+        by_user = aggregate_by_user(jobs, energies)
+        assert [tuple(r) for r in by_user.rows] == [("a", 2, 2.0, 3.0, 1.0, 50.0), ("b", 1, 2.0, 3.0, 1.0, 50.0)]
+        by_status = aggregate_by_status(jobs, energies, "cpu")
+        assert [tuple(r) for r in by_status.rows] == [("COMPLETED", 2, 4.0, 6.0, 2.0, 100.0),
+                                                      ("FAILED", 1, 0.0, 0.0, 0.0, 0.0)]
+
     def test_column_selection(self):
         jobs = [job_record(1, status="COMPLETED"), job_record(2, status="FAILED")]
         energies = {1: energy(1, gpu=3.0, cpu=1.0), 2: energy(2, gpu=1.0, cpu=3.0)}

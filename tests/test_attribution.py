@@ -16,6 +16,7 @@ from wattscope import (
     OutOfRangeUtilization,
     OverlappingSlices,
     TraceBundle,
+    WattscopeError,
     attribute,
     build_timelines,
     integrate_energy,
@@ -23,7 +24,7 @@ from wattscope import (
     serialize_slices,
     slice_coverage,
 )
-from wattscope.attribution import attribute_columns
+from wattscope.attribution import attribute_columns, read_slices
 from wattscope.jobs import read_pidmap
 from wattscope.traces import read_power_trace, read_proc_trace
 from helpers import (
@@ -31,6 +32,7 @@ from helpers import (
     gpu_shares_oracle,
     job_record,
     jsonl,
+    lerp_at_midpoint,
     naive_attribute,
     pidmap_snap,
     power_sample,
@@ -367,15 +369,12 @@ class TestAttribute:
             series.setdefault((p.node_id, str(p.source)), []).append((p.ts, p.power_w))
         for pts in series.values():
             pts.sort()
-        from helpers import lerp_series
-
         for s in run_attribution(sc):
-            mid = s.interval.midpoint
             want_cpu = want_gpu = 0.0
             for (node, src), pts in series.items():
                 if node != s.node_id:
                     continue
-                v = lerp_series(pts, mid)
+                v = lerp_at_midpoint(pts, *s.interval)
                 if v is None:
                     continue
                 if src.startswith("cpu"):
@@ -487,6 +486,8 @@ class TestIntegrateEnergy:
         b = make_slice(t0=5.0, t1=15.0)
         with pytest.raises(OverlappingSlices):
             integrate_energy([a, b])
+        with pytest.raises(OverlappingSlices):  # a gap slice overlaps too
+            integrate_energy([make_slice(t0=0.0, t1=20.0), b])
         # same window on another node is fine
         integrate_energy([a, make_slice(node="n2", t0=5.0, t1=15.0)])
         # and touching slices are fine
@@ -522,6 +523,47 @@ class TestIntegrateEnergy:
     def test_bad_max_gap(self):
         with pytest.raises(ValueError):
             integrate_energy([], max_gap_s=0.0)
+
+    @pytest.mark.parametrize("max_gap_s", [float("nan"), -1.0, -0.0])
+    def test_a_max_gap_that_is_not_positive_is_rejected(self, max_gap_s):
+        slices = [make_slice(t1=100.0, jobs={7: JobPower(1.0, 0.0)})]
+        with pytest.raises(ValueError):
+            integrate_energy(slices, max_gap_s=max_gap_s)
+        with pytest.raises(ValueError):
+            slice_coverage(slices, max_gap_s=max_gap_s)
+
+    def test_a_job_0_entry_shares_the_unattributed_bucket_in_slice_order(self):
+        # a built slice may list job 0; its watts add to the unattributed bucket, entry first, slice by slice.
+        # 1e16 + 1 rounds back to 1e16, so adding the entries and the unattributed watts apart gives 1e16 + 2
+        first = make_slice(t0=0.0, t1=1.0, jobs={0: JobPower(1e16, 0.0)}, un_cpu=1.0)
+        second = make_slice(t0=1.0, t1=2.0, jobs={7: JobPower(3.0, 0.0)}, un_cpu=1.0, un_gpu=2.0)
+        energies = integrate_energy([second, first])
+        assert sorted(energies) == [0, 7]
+        assert energies[0].cpu_kwh == (((0.0 + 1e16) + 1.0) + 1.0) / 3.6e6 == 1e16 / 3.6e6
+        assert (energies[0].gpu_kwh, energies[7].cpu_kwh) == (2.0 / 3.6e6, 3.0 / 3.6e6)
+
+    def test_ext_energy_is_none_only_for_jobs_that_never_had_an_ext_watt(self):
+        first = make_slice(t0=0.0, t1=10.0, jobs={7: JobPower(1.0, 0.0, ext_w=36.0), 8: JobPower(1.0, 0.0)})
+        second = make_slice(t0=10.0, t1=20.0, jobs={7: JobPower(1.0, 0.0), 8: JobPower(1.0, 0.0)}, un_ext=72.0)
+        energies = integrate_energy([first, second])
+        assert energies[7].ext_kwh == 360.0 / 3.6e6
+        assert energies[8].ext_kwh is None
+        assert energies[0].ext_kwh == 720.0 / 3.6e6
+
+    def test_minus_zero_ext_watts_give_a_positive_zero_energy(self):
+        (s,) = parse_slices(['{"node":"n1","t0":0.0,"t1":1.0,"jobs":{"7":{"cpu_w":1.0,"gpu_w":0.0,"ext_w":-0.0}},'
+                             '"unattr_cpu_w":0.0,"unattr_gpu_w":0.0,"unattr_ext_w":-0.0}'])
+        for slices in ([s], read_slices([serialize_slices([s])])):
+            energies = integrate_energy(slices)
+            assert [math.copysign(1.0, energies[j].ext_kwh) for j in (0, 7)] == [1.0, 1.0]
+
+    def test_an_overlap_is_reported_before_an_energy_beyond_the_float_range(self):
+        huge = [make_slice(t0=t, t1=t + 1.0, jobs={7: JobPower(1e308, 0.0)}) for t in (0.0, 1.0)]
+        with pytest.raises(WattscopeError, match="beyond the float range"):
+            integrate_energy(huge)
+        overlapping = [make_slice(node="n2", t0=0.0, t1=10.0), make_slice(node="n2", t0=5.0, t1=15.0)]
+        with pytest.raises(OverlappingSlices):
+            integrate_energy(huge + overlapping)
 
     def test_millisecond_brute_force_oracle(self):
         rng = random.Random(47)

@@ -43,10 +43,10 @@ from wattscope.cli import run
 from wattscope.jobs import check_owners, read_pidmap
 from wattscope.traces import read_power_trace, read_proc_trace
 from helpers import (
-    GAP_DEFAULT_S,
+    is_gap,
     job_record,
     jsonl,
-    lerp_series,
+    lerp_at_midpoint,
     naive_attribute,
     owner_oracle,
     pidmap_snap,
@@ -110,10 +110,9 @@ def series_of(power):
 def assert_conserves(slices, power):
     series = series_of(power)
     for s in slices:
-        mid = s.interval.midpoint
         want = {"cpu": 0.0, "gpu": 0.0}
         for (node, src), pts in series.items():
-            v = lerp_series(pts, mid) if node == s.node_id else None
+            v = lerp_at_midpoint(pts, *s.interval) if node == s.node_id else None
             if v is not None:
                 want[src[:3]] += v
         assert close(sum(p.cpu_w for p in s.per_job.values()) + s.unattributed_cpu_w, want["cpu"])
@@ -125,9 +124,9 @@ def user_energy_oracle(ref, jobs) -> dict[str, tuple[float, float]]:
     user_of = {j.job_id: j.user for j in jobs}
     acc = {j.user: [0.0, 0.0] for j in jobs}
     for r in ref:
-        dt = r["t1"] - r["t0"]
-        if dt > GAP_DEFAULT_S:
+        if is_gap(r["t0"], r["t1"]):
             continue
+        dt = r["t1"] - r["t0"]
         for job_id, (cpu, gpu) in r["jobs"].items():
             acc[user_of[job_id]][0] += cpu * dt
             acc[user_of[job_id]][1] += gpu * dt
@@ -463,9 +462,9 @@ def cpu_joules(text: str) -> dict[int, float]:
     """CPU joules per job in a slices text, unattributed under 0, over slices that are not gaps."""
     acc: dict[int, float] = {}
     for row in map(json.loads, text.splitlines()):
-        dt = row["t1"] - row["t0"]
-        if dt > GAP_DEFAULT_S:
+        if is_gap(row["t0"], row["t1"]):
             continue
+        dt = row["t1"] - row["t0"]
         for job, entry in row["jobs"].items():
             acc[int(job)] = acc.get(int(job), 0.0) + entry["cpu_w"] * dt
         acc[0] = acc.get(0, 0.0) + row["unattr_cpu_w"] * dt

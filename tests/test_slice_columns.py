@@ -3,10 +3,11 @@
 The references below are the per-object loops that integrate_energy,
 slice_coverage, apply_calibration and the slice serializer ran over lists
 of AttributionSlice: json.dumps per slice object, and joules added job by
-job in (node, t0) order.  The columns must give the same bytes and the same
-floats, bit for bit, on random scenarios with non-ASCII node names, gap
-slices, calibrated slices and -0.0 watts.  The CLI test pins that the
-commands build no slice object at all.
+job in (node, t0) order, with gaps decided in whole milliseconds by
+helpers.is_gap.  The columns must give the same bytes and the same floats,
+bit for bit, on random scenarios with non-ASCII node names, gap slices,
+calibrated slices and -0.0 watts.  The CLI test pins that the commands
+build no slice object at all.
 """
 
 import io
@@ -35,7 +36,7 @@ from wattscope.attribution import attribute_columns
 from wattscope.cli import run
 from wattscope.jobs import check_owners, read_pidmap
 from wattscope.traces import read_power_trace, read_proc_trace
-from helpers import jsonl, random_scenario, write_status_split_fixture
+from helpers import is_gap, jsonl, random_scenario, write_status_split_fixture
 
 J_PER_KWH = 3.6e6
 
@@ -57,9 +58,9 @@ def reference_line(s: AttributionSlice) -> str:
 def reference_integrate(slices, max_gap_s):
     acc = {}
     for s in sorted(slices, key=lambda s: (s.node_id, s.interval.t0)):
-        dt = s.interval.t1 - s.interval.t0
-        if dt > max_gap_s:
+        if is_gap(*s.interval, max_gap_s):
             continue
+        dt = s.interval.t1 - s.interval.t0
         parts = [(job_id, s.per_job[job_id]) for job_id in sorted(s.per_job)]
         parts.append((0, JobPower(s.unattributed_cpu_w, s.unattributed_gpu_w, s.unattributed_ext_w)))
         for job_id, p in parts:
@@ -78,7 +79,7 @@ def reference_coverage(slices, max_gap_s):
     n_excluded = 0
     for s in slices:
         dt = s.interval.t1 - s.interval.t0
-        if dt > max_gap_s:
+        if is_gap(*s.interval, max_gap_s):
             excluded += dt
             n_excluded += 1
         else:

@@ -294,6 +294,43 @@ class TestParserTotality:
             except TraceError as exc:
                 assert exc.line_no == 1
 
+    @given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=200))
+    def test_text_and_its_utf8_bytes_parse_alike(self, text):
+        def outcome(line):
+            try:
+                return parse_power_trace([line])
+            except TraceError as exc:
+                return str(exc)
+
+        assert outcome(text) == outcome(text.encode())
+
+
+class TestLineDecoding:
+    """A line is one JSON object between JSON whitespace, whether it is text or UTF-8 bytes."""
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_json_whitespace_around_a_record_is_ignored(self, as_bytes):
+        line = " \t" + power_line() + " \t\r\n"
+        (s,) = parse_power_trace([line.encode() if as_bytes else line])
+        assert s.power_w == 100.0
+
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    @pytest.mark.parametrize("leading", [False, True])
+    def test_other_whitespace_around_a_record_is_not_json(self, space, as_bytes, leading):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(space + "{}" if leading else "{}" + space)
+        line = space + power_line() if leading else power_line() + space + "\n"
+        with pytest.raises(MalformedLine) as exc:
+            parse_power_trace([power_line(ts=0.5), line.encode() if as_bytes else line])
+        assert str(exc.value) == "line 2: invalid JSON"
+
+    def test_bytes_that_are_not_utf8_are_located(self):
+        lines = [power_line(ts=0.5).encode(), b"\n", b'{"node":"n\xff1","src":"cpu0","ts":1.0,"w":1.0}\n']
+        with pytest.raises(MalformedLine) as exc:
+            parse_power_trace(lines)
+        assert str(exc.value) == "line 3: not UTF-8 text"
+
 
 def covered_watts(points: list[tuple[float, float]], mids: list[float]) -> list[float]:
     """The cpu watts attribute_columns takes from a series of (ts, w) points at each midpoint; 0.0 where it misses it.
