@@ -18,13 +18,24 @@ sparse matrix, and build no object per slice; AttributionSlice, JobPower and
 Interval are the record-level view of the same data (SliceColumns.of and
 .slices convert), which attribute, parse_slices and the functions below
 accept or return for lists of slices.
+
+The split runs on the stdlib alone.  Per node, each process's records are
+taken from the columns by ranges of record numbers, its cpu-time deltas
+add into one {job: seconds} row per slice, and each GPU's slices split by
+a plan cached per set of owners.  Every sum adds in the order of a
+per-slice loop over ascending pids, then jobs, then GPUs, so every float is
+reproducible.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, islice, repeat
+from bisect import bisect_right
+from collections import deque
+from functools import reduce
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat
 from math import isfinite, isinf, nan
+from operator import add, attrgetter, eq, iadd, itemgetter, lt, sub, truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedLine, NegativeDelta, NodeMismatch, OverlappingSlices, WattscopeError
@@ -39,16 +50,12 @@ from .traces import (
     _dumps,
     _field_num,
     _field_str,
+    _interp,
     iter_records,
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .calibration import CalibrationModel
-
-# numpy is imported where the split uses it, so that reading, integrating,
-# calibrating and reporting saved slices never load it.
 
 
 class _IntervalFields(NamedTuple):
@@ -196,165 +203,321 @@ def _columns(slices: SliceColumns | Iterable[AttributionSlice]) -> SliceColumns:
     return slices if isinstance(slices, SliceColumns) else SliceColumns.of(slices)
 
 
-def _split(
-    weights: np.ndarray, present: np.ndarray, power: np.ndarray, mem: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split each row's power in proportion to weights; returns (shares, has_share, unattributed).
+def _split(power: float, columns: Sequence[int], weights: Sequence[float]) -> tuple[list, float]:
+    """Split power in proportion to weights; returns (shares, unattributed).
 
-    Rows are slices, columns jobs by ascending id, UNATTRIBUTED first; totals
-    add columns in that order, as per-slice sums over sorted job ids do.  A
-    row with no positive total has no evidence of who worked and stays all
-    unattributed.  With mem, weights are summed sm_pct, falling back per row
-    to summed mem_mib and then to 1 per job present.
+    columns are jobs by ascending id, UNATTRIBUTED (0) first, and weights
+    holds each one's weight; the total adds them in that order from 0.0, as
+    per-slice sums over sorted job ids do.  A total that is not positive is
+    no evidence of who worked: there are no shares, and all of power is
+    unattributed.  Column 0's share is unattributed.
     """
-    import numpy as np
-
-    if mem is not None:
-        fallback = np.where((mem > 0).any(axis=1, keepdims=True), mem, present * 1.0)
-        weights = np.where((weights > 0).any(axis=1, keepdims=True), weights, fallback)
-    total = np.zeros(len(power))
-    for j in range(weights.shape[1]):
-        total += weights[:, j]
-    ok = total > 0
-    shares = power[:, None] * (weights / np.where(ok, total, 1.0)[:, None])
-    has = present & ok[:, None]
-    return shares, has, np.where(ok, 0.0 + np.where(has[:, 0], shares[:, 0], 0.0), power)
+    total = reduce(add, weights, 0.0)
+    if not total > 0:
+        return [], power
+    shares = [power * (w / total) for w in weights]
+    return shares, 0.0 + (shares[0] if columns[0] == 0 else 0.0)
 
 
-def _owner_columns(ts: np.ndarray, owners, pids: np.ndarray) -> tuple[list, np.ndarray]:
-    """The node's job axis [UNATTRIBUTED_JOB, jobs ascending], and the column on it of each record's owner.
+def _picker(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function that gives the items of a sequence at indexes, as a tuple."""
+    if len(indexes) == 1:
+        i = indexes[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indexes)
 
-    Step-hold, as owner_at: a record of pid p at time t belongs to p's job in
-    the node's last snapshot at or before t, and is unattributed when there is
-    no such snapshot or p is not in it.  pids holds each record's pid.
+
+def _record_runs(proc: array, n_procs: int) -> list[list]:
+    """Each process's record numbers, in file order, as a list of ranges and arrays.
+
+    A monitor writes its processes in one order at every tick, so a file is
+    mostly stretches that repeat one sequence of distinct processes.  Each
+    such stretch gives each of its processes one range, whose step is the
+    sequence's length; the stretch's end is found by comparing the column
+    with itself one sequence on, which costs no step per record.  Records
+    where no sequence repeats are listed one by one, in arrays, ever more of
+    them before the next look for a repeat.
     """
-    import numpy as np
+    runs: list[list] = [[] for _ in range(n_procs)]
+    listing: list[array | None] = [None] * n_procs  # per process: the array that its listed records go to
+    i, backoff = 0, 0
+    while i < len(proc):
+        seen, j = set(), i
+        while j < len(proc) and proc[j] not in seen:
+            seen.add(proc[j])
+            j += 1
+        period = j - i
 
-    snap_ts, maps = owners or ((), ())
-    held = np.array([{}, *maps], dtype=object)  # held[i] is the map in force after the first i snapshots
-    in_force = held[np.searchsorted(np.asarray(snap_ts, dtype=float), ts, side="right")]
-    owner = list(map(dict.get, in_force.tolist(), pids.tolist()))
-    jobs = [UNATTRIBUTED_JOB] + sorted(set(owner).difference([None]))
-    column = {None: 0, **{job: c for c, job in enumerate(jobs)}}
-    return jobs, np.fromiter(map(column.__getitem__, owner), np.int64, len(owner))
+        def repeats(k: int) -> bool:  # whether proc[i:j] follows itself k times
+            return proc[j:j + k * period] == proc[i:i + k * period]
+
+        lo, hi, k = 0, (len(proc) - j) // period, 1
+        while k <= hi and repeats(k):  # gallop, then bisect
+            lo, k = k, 2 * k
+        hi = min(hi, k - 1)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if repeats(mid) else (lo, mid - 1)
+        if lo:
+            end = j + lo * period
+            for k in range(i, j):
+                runs[proc[k]].append(range(k, end, period))
+                listing[proc[k]] = None
+            backoff = 0
+        else:
+            backoff = min(2 * backoff or 64, 1 << 16)
+            end = min(len(proc), max(j, i + backoff))
+            for p in set(proc[i:end]):
+                if listing[p] is None:
+                    listing[p] = array("i")
+                    runs[p].append(listing[p])
+            deque(map(array.append, map(listing.__getitem__, proc[i:end]), range(i, end)), maxlen=0)
+        i = end
+    return runs
 
 
-def _node_slices(out: SliceColumns, node: str, chunk: np.ndarray, columns: dict, series: list, owners,
-                 pids: np.ndarray, gpus: list) -> None:
-    """Add one node's slices to out; chunk indexes its records in columns, sorted by (pid, ts)."""
-    import numpy as np
+def _taker(pieces: list) -> Callable[[array], array]:
+    """A function that gives a column's entries at the record numbers in pieces (ranges and arrays), as an array."""
 
-    ts, proc = columns["ts"][chunk], columns["proc"][chunk]
-    # return_index sorts stably, so -0.0 and 0.0 at one instant give the ts of its lowest pid
-    ticks, _, tick = np.unique(ts, return_index=True, return_inverse=True)
+    def part(piece: range | array) -> Callable[[array], array]:
+        if type(piece) is range:
+            key = slice(piece.start, piece.stop, piece.step)
+            return lambda column: column[key]
+        pick = _picker(piece)
+        return lambda column: array(column.typecode, pick(column))
+
+    parts = list(map(part, pieces))
+    if len(parts) == 1:
+        return parts[0]
+    return lambda column: reduce(iadd, (part(column) for part in parts), array(column.typecode))
+
+
+class _Stay(NamedTuple):
+    """A process's records on one GPU at the consecutive ticks first, first + 1, ...; one entry per record in each column."""
+
+    rank: int  # the process's place in pid order
+    first: int
+    owner: list  # owner column
+    sm: array  # sm_pct, 0.0 where absent
+    mem: array  # mem_mib, NaN where absent
+
+
+def _stretches(stays: list, lo: int, hi: int) -> Iterator[tuple[int, int, list]]:
+    """Split slices lo to hi - 1 into stretches [u, v) over which the same stays are present.
+
+    Yields (u, v, the stays present, in pid order).
+    """
+    ends = [s.first + len(s.owner) for s in stays]
+    cuts = sorted({lo, hi, *(t for t in chain((s.first for s in stays), ends) if lo < t < hi)})
+    stays = sorted(stays, key=attrgetter("first"))
+    i, present = 0, []
+    for u, v in zip(cuts, islice(cuts, 1, None)):
+        while i < len(stays) and stays[i].first <= u:
+            present.append(stays[i])
+            i += 1
+        present = sorted(s for s in present if s.first + len(s.owner) > u)
+        yield u, v, present
+
+
+def _gpu_plan(owners: tuple) -> tuple[list, Callable[[tuple], Sequence[float]] | None]:
+    """How a GPU splits a slice among processes with these owner columns, in pid order.
+
+    Returns the columns present, ascending, and a function that gives each
+    one's weight from a reading per process, adding the readings of a
+    column's processes in pid order from 0.0; None for the function when the
+    readings are the weights, one process per column in column order.
+    """
+    processes: dict[int, list] = {}
+    for p, c in enumerate(owners):
+        processes.setdefault(c, []).append(p)
+    columns = sorted(processes)
+    if len(columns) == len(owners):  # one process per column: x is 0.0 + x, as no reading is -0.0
+        order = [processes[c][0] for c in columns]
+        return columns, None if order == sorted(order) else _picker(order)
+    picks = [_picker(processes[c]) for c in columns]
+    return columns, lambda readings: [reduce(add, pick(readings), 0.0) for pick in picks]
+
+
+def _split_gpu(stays: list, lo: int, watts: list, gpu_w: list, unattr_gpu: list) -> None:
+    """Split one GPU's watts at slices lo, lo + 1, ... (None where it misses the midpoint) among its stays.
+
+    GPU activity is taken from the snapshot at interval start.  A slice
+    splits by summed sm_pct, else by summed mem_mib, else 1 per job present;
+    the job's watts add to gpu_w[slice][column], and column 0's and those of
+    a slice without processes to unattr_gpu[slice].
+    """
+    plans: dict[tuple, tuple] = {}
+    for u, v, present in _stretches(stays, lo, lo + len(watts)):
+        if not present:
+            for t, w in zip(range(u, v), watts[u - lo:v - lo]):
+                if w is not None:
+                    unattr_gpu[t] += w
+            continue
+        at_start = ([getattr(s, name)[u - s.first:v - s.first] for s in present] for name in ("owner", "sm"))
+        for t, w, on, sms in zip(range(u, v), watts[u - lo:v - lo], *(zip(*c) for c in at_start)):
+            if w is None:
+                continue
+            plan = plans.get(on)
+            if plan is None:
+                plan = plans[on] = _gpu_plan(on)
+            columns, weigh = plan
+            readings = sms
+            if not max(sms) > 0:
+                readings = [0.0 + x if x == x else 0.0 for x in (s.mem[t - s.first] for s in present)]
+                if not max(readings) > 0:
+                    readings = None
+            weights = [1.0] * len(columns) if readings is None else weigh(readings) if weigh else readings
+            total = reduce(add, weights, 0.0)  # positive: some weight is, and none is negative
+            job_w = gpu_w[t]
+            get = job_w.get
+            for c, x in zip(columns, weights):
+                job_w[c] = get(c, 0.0) + w * (x / total)
+            if columns[0] == 0:
+                unattr_gpu[t] += 0.0 + w * (weights[0] / total)
+
+
+def _node_slices(out: SliceColumns, node: str, runs: list, procs: ProcColumns, series: list, owners) -> None:
+    """Add one node's slices to out; runs holds each process's pid and record numbers (as _record_runs gives them), by pid."""
+    visited = []  # per process: pid, a function that takes its records in ts order from a column, and their ts
+    instants, last = set(), b""
+    for pid, ranges in runs:
+        take = _taker(ranges)
+        at = take(procs.ts)
+        if at.tobytes() != last:
+            if not all(map(lt, at, islice(at, 1, None))):
+                order = sorted(range(len(at)), key=at.__getitem__)  # stable: the copies of one ts stay in file order
+                pick = _picker([i for i, j in zip(order, order[1:] + [None]) if j is None or at[i] != at[j]])  # the last
+                take = (lambda column, take=take, pick=pick: array(column.typecode, pick(take(column))))
+                at = take(procs.ts)
+            instants.update(at)  # a set keeps the first of equal keys: -0.0 and 0.0 at one instant give its lowest pid's ts
+            last = at.tobytes()
+        visited.append((pid, take, at))
+    ticks = tuple(sorted(instants))
     n = len(ticks) - 1
     if n < 1:
         return
-    mids = (ticks[:-1] + ticks[1:]) / 2.0
-    ms = np.rint(ticks * 1000)  # whole milliseconds, as _ms; a sum of two is exact below 2**52 ms
-    twice_mids = ms[:-1] + ms[1:]
-    jobs, col = _owner_columns(ts, owners, pids[proc])
-    n_jobs = len(jobs)
 
-    def per_job(key: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        return np.bincount(key, weights, minlength=n * n_jobs).reshape(n, n_jobs)
-
-    def lerp_covered(s_ts: np.ndarray, s_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A ts-sorted series linearly interpolated at the midpoints, and which midpoints its span covers, in ms."""
-        first, last = 2 * np.rint(s_ts[[0, -1]] * 1000)
-        return np.interp(mids, s_ts, s_w), (twice_mids >= first) & (twice_mids <= last)
-
-    cpu_power = np.zeros(n)
-    for kind, _, s_ts, s_w in series:
-        if kind == CPU:
-            values, covered = lerp_covered(s_ts, s_w)
-            cpu_power += np.where(covered, values, 0.0)
+    # step-hold, as owner_at: a record belongs to its pid's job in the node's last snapshot at or before its ts
+    tick_of = dict(zip(ticks, count())).__getitem__
+    snap_ts, maps = owners or ((), ())
+    held = [{}, *maps]
+    in_force = list(map(held.__getitem__, map(bisect_right, repeat(snap_ts), ticks)))
+    placed = []  # per process: its taker, and each record's tick and owner
+    ticks_bytes, size = array("d", ticks).tobytes(), array("d").itemsize
+    for pid, take, at in visited:
+        a = tick_of(at[0])
+        if at.tobytes() == ticks_bytes[size * a:size * (a + len(at))]:  # at every tick from its first to its last
+            tick, in_force_at = range(a, a + len(at)), in_force[a:a + len(at)]
+        else:
+            tick = list(map(tick_of, at))
+            in_force_at = map(in_force.__getitem__, tick)
+        placed.append((take, tick, list(map(dict.get, in_force_at, repeat(pid)))))
+    del visited
+    jobs = [UNATTRIBUTED_JOB, *sorted(set().union(*(owner for _, _, owner in placed)).difference([None]))]
+    column = {None: 0, **{job: c for c, job in enumerate(jobs)}}
 
     # a delta needs both endpoints; processes that appear or vanish
     # mid-interval contribute nothing observable
-    a = np.flatnonzero((proc[1:] == proc[:-1]) & (tick[1:] == tick[:-1] + 1))  # a and a + 1 are one process
-    key = tick[a] * n_jobs + col[a]  # bincount adds each (slice, job) bin's records in pid order
-    cpu_s = columns["cpu"]
-    deltas = per_job(key, cpu_s[chunk[a + 1]] - cpu_s[chunk[a]])
-    seen = per_job(key) > 0
-    negative = seen & (deltas < 0)
-    if negative.any():
-        raise NegativeDelta(jobs[int(np.argmax(negative[np.argmax(negative.any(axis=1))]))])
-    cpu_w, has_cpu, unattr_cpu = _split(deltas, seen, cpu_power)
+    deltas = [{} for _ in range(n)]  # per slice: column -> the cpu-time deltas of its processes, added in pid order
+    stays: dict[int, list] = {}  # gpu number -> the _Stay of each process on it
+    for rank, (take, tick, owner) in enumerate(placed):
+        owner[:] = map(column.__getitem__, owner)
+        cpu = take(procs.cpu)
+        if type(tick) is range:
+            steps = zip(map(sub, islice(cpu, 1, None), cpu), deltas[tick.start:tick.stop], owner)
+        else:  # the delta comes first, so that zip stops before the row of the last tick, which has none
+            steps = zip(map(sub, islice(cpu, 1, None), cpu), map(deltas.__getitem__, tick), owner)
+            steps = compress(steps, map(eq, islice(tick, 1, None), map(add, tick, repeat(1))))
+        for d, row, c in steps:
+            row[c] = row.get(c, 0.0) + d
+        gpu = take(procs.gpu)
+        if max(gpu) < 0:
+            continue
+        sm, mem = array("d", [0.0 + x if x == x else 0.0 for x in take(procs.sm)]), take(procs.mem)
+        cuts = [0, len(gpu)] if type(tick) is range and min(gpu) == max(gpu) else [  # runs of consecutive ticks on one GPU
+            0, *(i for i in range(1, len(gpu)) if gpu[i] != gpu[i - 1] or tick[i] != tick[i - 1] + 1), len(gpu)]
+        for i, j in zip(cuts, islice(cuts, 1, None)):
+            if gpu[i] >= 0:
+                whole = j - i == len(gpu)
+                stays.setdefault(gpu[i], []).append(_Stay(rank, tick[i], *(v if whole else v[i:j] for v in (owner, sm, mem))))
+    for row in deltas:
+        if any(map(lt, row.values(), repeat(0.0))):
+            raise NegativeDelta(jobs[min(c for c, d in row.items() if d < 0)])
 
-    # GPU activity is taken from the snapshot at interval start
-    gpu_w, has_gpu, unattr_gpu = np.zeros((n, n_jobs)), np.zeros((n, n_jobs), dtype=bool), np.zeros(n)
-    gpu = columns["gpu"][chunk]
+    # node power at each slice's midpoint, from the series that cover it in whole ms
+    mids = list(map(truediv, map(add, ticks, islice(ticks, 1, None)), repeat(2.0)))
+    ms = [round(t * 1000, 0) for t in ticks]  # whole milliseconds as floats, as np.rint; a sum of two is exact below 2**52 ms
+    twice_mids = list(map(add, ms, islice(ms, 1, None)))
+    cpu_power, unattr_gpu = [0.0] * n, [0.0] * n
+    gpu_w = [{} for _ in range(n)]  # per slice: column -> the job's GPU watts, added over GPUs in index order
     for kind, index, s_ts, s_w in series:
-        if kind == GPU:
-            values, covered = lerp_covered(s_ts, s_w)
-            on = (tick < n) & (gpu == (gpus.index(index) if index in gpus else -2))
-            key = tick[on] * n_jobs + col[on]
-            sm, mem = (np.where(np.isnan(v), 0.0, v) for v in (columns["sm"][chunk[on]], columns["mem"][chunk[on]]))
-            present = per_job(key) > 0
-            shares, has, unattr = _split(per_job(key, sm), present, values, per_job(key, mem))
-            has &= covered[:, None]
-            gpu_w += np.where(has, shares, 0.0)
-            has_gpu |= has
-            unattr_gpu += np.where(covered, unattr, 0.0)
+        first, last = 2 * round(s_ts[0] * 1000, 0), 2 * round(s_ts[-1] * 1000, 0)
+        covered = [t for t, x in enumerate(twice_mids) if first <= x <= last]
+        values = _interp(map(mids.__getitem__, covered), s_ts, s_w)
+        if kind == CPU:
+            for t, w in zip(covered, values):
+                cpu_power[t] += w
+        elif covered:
+            watts = [None] * (covered[-1] + 1 - covered[0])
+            deque(map(watts.__setitem__, map(sub, covered, repeat(covered[0])), values), maxlen=0)
+            code = procs.gpus.index(index) if index in procs.gpus else -2
+            _split_gpu(stays.get(code, []), covered[0], watts, gpu_w, unattr_gpu)
 
-    cpu_w = np.where(has_cpu, cpu_w, 0.0)
-    # every reading is finite, but their sum over the node's series need not be
-    finite = np.isfinite(cpu_w).all(axis=1) & np.isfinite(gpu_w).all(axis=1)
-    finite &= np.isfinite(unattr_cpu) & np.isfinite(unattr_gpu)
-    if not finite.all():
-        t0 = float(ticks[np.argmin(finite)])
-        raise WattscopeError(f"power on node {node} is beyond the float range in the slice at t0={t0}")
+    entry_job, entry_cpu, entry_gpu, sizes, unattr_cpu = [], array("d"), array("d"), [], []
+    for row, job_w, power in zip(deltas, gpu_w, cpu_power):
+        columns = sorted(row)
+        shares, unattributed = _split(power, columns, list(map(row.__getitem__, columns)))
+        if shares and job_w.keys() <= row.keys():
+            listed, cpu_w = columns, shares
+        else:
+            cpu_w = dict(zip(columns, shares))
+            listed = sorted(cpu_w.keys() | job_w.keys())
+            cpu_w = list(map(cpu_w.get, listed, repeat(0.0)))
+        if listed and listed[0] == 0:  # unattributed watts have columns of their own
+            listed, cpu_w = listed[1:], cpu_w[1:]
+        entry_job += listed
+        entry_cpu.extend(cpu_w)
+        entry_gpu.extend(map(job_w.get, listed, repeat(0.0)))
+        sizes.append(len(listed))
+        unattr_cpu.append(unattributed)
 
-    listed = has_cpu | has_gpu
-    listed[:, 0] = False  # unattributed watts have columns of their own
-    _, entry_col = np.nonzero(listed)  # row by row, so by slice and then ascending job id
+    # every reading is finite, but their sum over the node's series need not be; column 0's CPU share is in
+    # unattr_cpu, and its GPU watts are checked here
+    gpu_0 = [job_w.get(0, 0.0) for job_w in gpu_w]
+    if not all(map(isfinite, chain(entry_cpu, entry_gpu, unattr_cpu, unattr_gpu, gpu_0))):
+        bounds = list(accumulate(sizes, initial=0))
+        t = next(t for t in range(n) if not all(map(isfinite, chain(
+            entry_cpu[bounds[t]:bounds[t + 1]], entry_gpu[bounds[t]:bounds[t + 1]], (unattr_cpu[t], unattr_gpu[t], gpu_0[t])))))
+        raise WattscopeError(f"power on node {node} is beyond the float range in the slice at t0={ticks[t]}")
 
-    def put(column: array, values) -> None:
-        column.frombytes(np.ascontiguousarray(values, dtype=column.typecode).tobytes())
-
-    put(out.node, np.full(n, out._node_number(node)))
-    put(out.t0, ticks[:-1])
-    put(out.t1, ticks[1:])
-    put(out.unattr_cpu, unattr_cpu)
-    put(out.unattr_gpu, unattr_gpu)
-    put(out.unattr_ext, np.full(n, np.nan))
-    put(out.start, out.start[-1] + np.cumsum(listed.sum(axis=1)))
-    put(out.job, np.array([-1, *map(out._job_number, jobs[1:])])[entry_col])
-    put(out.cpu, cpu_w[listed])
-    put(out.gpu, gpu_w[listed])
-    put(out.ext, np.full(len(entry_col), np.nan))
+    out.node.extend(repeat(out._node_number(node), n))
+    out.t0.extend(islice(ticks, n))
+    out.t1.extend(islice(ticks, 1, None))
+    out.unattr_cpu.extend(unattr_cpu)
+    out.unattr_gpu.extend(unattr_gpu)
+    out.unattr_ext.extend(repeat(nan, n))
+    out.start.extend(islice(accumulate(sizes, initial=out.start[-1]), 1, None))
+    number = [-1, *map(out._job_number, jobs[1:])]  # every owner of the node, in ascending order, before any entry
+    out.job.extend(map(number.__getitem__, entry_job))
+    out.cpu.extend(entry_cpu)
+    out.gpu.extend(entry_gpu)
+    out.ext.extend(repeat(nan, len(entry_job)))
 
 
 def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerIndex) -> SliceColumns:
     """attribute() on trace columns and an ownership index; a repeated (node, ts, pid) counts as its last."""
-    import numpy as np
-
     out = SliceColumns()
-    if not len(procs):
-        return out
     series: dict[str, list] = {}  # node -> (kind, index, ts, w) per cpu or gpu series, by kind and index
     for (node, _), source, ts, w in sorted(
         (s for s in zip(power.keys, power.sources, power.ts, power.w) if s[1].kind in (CPU, GPU)),
         key=lambda s: (s[1].kind, s[1].index),
     ):
-        series.setdefault(node, []).append((source.kind, source.index, np.frombuffer(ts), np.frombuffer(w)))
-
-    pids = np.array(procs.pids, dtype=object)
-    by_name = sorted(range(len(pids)), key=lambda p: (procs.nodes[procs.node_of[p]], procs.pids[p]))
-    rank = np.empty(len(pids), dtype=np.int64)
-    rank[by_name] = np.arange(len(pids))  # each process's place in (node name, pid) order
-    proc, ts = np.frombuffer(procs.proc, dtype=np.int32), np.frombuffer(procs.ts)
-    order = np.lexsort((ts, rank[proc]))
-    repeated = (proc[order][1:] == proc[order][:-1]) & (ts[order][1:] == ts[order][:-1])
-    order = order[np.append(~repeated, True)]  # lexsort is stable: keep the last copy
-    node = np.asarray(procs.node_of)[proc[order]]
-    columns = {"proc": proc, "ts": ts, "gpu": np.frombuffer(procs.gpu, dtype=np.int32)}
-    columns.update((k, np.frombuffer(getattr(procs, k))) for k in ("cpu", "sm", "mem"))
-    with np.errstate(over="ignore", invalid="ignore"):  # _node_slices reports power beyond the float range
-        for chunk in np.split(order, np.flatnonzero(np.diff(node)) + 1):
-            name = procs.nodes[procs.node_of[proc[chunk[0]]]]
-            _node_slices(out, name, chunk, columns, series.get(name, []), owners.get(name), pids, procs.gpus)
+        series.setdefault(node, []).append((source.kind, source.index, ts, w))
+    runs = _record_runs(procs.proc, len(procs.pids))
+    by_name = sorted(range(len(runs)), key=lambda p: (procs.nodes[procs.node_of[p]], procs.pids[p]))
+    for n, group in groupby(by_name, procs.node_of.__getitem__):  # nodes in name order, processes by pid
+        node = procs.nodes[n]
+        _node_slices(out, node, [(procs.pids[p], runs[p]) for p in group], procs, series.get(node, []), owners.get(node))
     return out
 
 
@@ -372,8 +535,8 @@ def attribute(
     at the interval midpoint (series not covering the midpoint contribute
     nothing).  GPU activity is taken from the snapshot at interval start.
 
-    threads is validated and otherwise ignored: each node is split with
-    whole-array operations, which a thread pool cannot speed up.
+    threads is validated and otherwise ignored: the split is pure Python,
+    which a thread pool cannot speed up under the GIL.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")

@@ -14,7 +14,7 @@ visible in those error figures instead of being hidden in the model, and
 a model file that carries a nonzero intercept_w is rejected.
 
 The sums are math.fsum, exactly rounded and independent of order, so k
-does not depend on the machine; this module needs no numpy.
+does not depend on the machine.
 """
 
 from __future__ import annotations

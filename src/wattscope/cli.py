@@ -358,9 +358,4 @@ def run(
 
 def main() -> None:
     """The console script and `python -m wattscope`."""
-    # numpy's bundled OpenBLAS starts a pool of worker threads, one per core, when numpy is
-    # imported; that is about half of the import.  The CLI calls no BLAS routine, so it runs
-    # with one thread, which starts no pool, whatever the shell sets.  run() and the library
-    # leave the environment alone: a program that uses them may want BLAS threads.
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(run())

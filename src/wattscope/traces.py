@@ -254,6 +254,11 @@ def _reject_constant(token: str) -> float:
 _raw_decode = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
 
 
+def _invalid_json(text: str) -> str:
+    """The error for a line that is not JSON; it names a leading byte order mark, which no JSON text starts with."""
+    return "invalid JSON: starts with a byte order mark (U+FEFF)" if text.startswith("\ufeff") else "invalid JSON"
+
+
 def iter_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, object) for each non-blank line; locate any failure.
 
@@ -274,9 +279,9 @@ def iter_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
         try:
             obj, end = _raw_decode(text)
         except (ValueError, RecursionError):
-            raise MalformedLine(line_no, "invalid JSON") from None
+            raise MalformedLine(line_no, _invalid_json(text)) from None
         if end != len(text):
-            raise MalformedLine(line_no, "invalid JSON")
+            raise MalformedLine(line_no, _invalid_json(text))
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "record is not a JSON object")
         yield line_no, obj
@@ -479,20 +484,34 @@ def parse_proc_trace(lines: Iterable[str]) -> list[ProcSnapshot]:
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-def _interp(grid: Sequence[float], ts: Sequence[float], w: Sequence[float]) -> list[float]:
-    """np.interp(grid, ts, w), bit for bit, for a grid within [ts[0], ts[-1]] and finite w.
+def _interp(grid: Iterable[float], ts: Sequence[float], w: Sequence[float]) -> list[float]:
+    """np.interp(grid, ts, w), bit for bit, for strictly ascending finite ts, finite w and a grid without NaN.
 
-    As in np.interp, a grid point on a sample (the last one included) takes
-    that sample's value; between samples, the segment's slope is applied
-    from its left end.
+    As in np.interp, a grid point before the first sample or after the last
+    takes that sample's value, and a point on a sample takes its value.
+    Between samples, the segment's slope is applied from its left end, or
+    from its right end where that gives NaN.  An ascending grid is one walk
+    along the samples: a point in the previous point's segment or the next
+    one needs no search.
     """
     last = len(ts) - 1
     out = []
+    j, lo, hi = 0, ts[0], ts[1] if last else math.inf  # the previous point's segment [lo, hi) = [ts[j], ts[j + 1])
     for x in grid:
-        j = bisect_right(ts, x) - 1
-        if j == last or ts[j] == x:
+        if not lo <= x < hi:
+            if hi <= x and j + 1 < last and x < ts[j + 2]:
+                j += 1
+            else:
+                j = max(bisect_right(ts, x) - 1, 0)
+            lo, hi = ts[j], ts[j + 1] if j < last else math.inf
+        if x <= lo or j == last:  # on a sample, or before the first or after the last
             out.append(w[j])
         else:
-            out.append((w[j + 1] - w[j]) / (ts[j + 1] - ts[j]) * (x - ts[j]) + w[j])
+            slope = (w[j + 1] - w[j]) / (hi - lo)
+            v = slope * (x - lo) + w[j]
+            if v != v:
+                v = slope * (x - hi) + w[j + 1]
+                if v != v and w[j] == w[j + 1]:
+                    v = w[j]
+            out.append(v)
     return out
-

@@ -405,6 +405,37 @@ def cpu_watts_by_owner(pidmap, procs):
     }
 
 
+class TestMidpointClamp:
+    """A series covers a midpoint in whole ms, while its watts there come from the float midpoint.
+
+    The float midpoint can lie one ulp outside a series that covers it in
+    ms; as np.interp, the split then takes the sample at that end.
+    """
+
+    @staticmethod
+    def split_line(samples, t0, t1):
+        power = [power_sample("n1", "cpu0", ts, w) for ts, w in samples]
+        procs = [proc_snap("n1", t0, 11, 0.0), proc_snap("n1", t1, 11, 1.0)]
+        cols = attribute_columns(
+            read_power_trace(jsonl(power).splitlines()),
+            read_proc_trace(jsonl(procs).splitlines()),
+            read_pidmap(jsonl([pidmap_snap("n1", t0, {11: 7})]).splitlines()),
+        )
+        return serialize_slices(cols)
+
+    def test_a_float_midpoint_before_the_first_sample_takes_it(self):
+        assert (1599.781 + 1601.673) / 2 < 1600.727  # 1599781 + 1601673 ms is twice 1600727 ms
+        line = self.split_line([(1600.727, 100.0), (1610.0, 200.0)], 1599.781, 1601.673)
+        assert line == ('{"node":"n1","t0":1599.781,"t1":1601.673,"jobs":{"7":{"cpu_w":100.0,"gpu_w":0.0}},'
+                        '"unattr_cpu_w":0.0,"unattr_gpu_w":0.0}\n')
+
+    def test_a_float_midpoint_after_the_last_sample_takes_it(self):
+        assert (4299.689 + 4304.515) / 2 > 4302.102  # 4299689 + 4304515 ms is twice 4302102 ms
+        line = self.split_line([(4290.0, 100.0), (4302.102, 200.0)], 4299.689, 4304.515)
+        assert line == ('{"node":"n1","t0":4299.689,"t1":4304.515,"jobs":{"7":{"cpu_w":200.0,"gpu_w":0.0}},'
+                        '"unattr_cpu_w":0.0,"unattr_gpu_w":0.0}\n')
+
+
 class TestOwners:
     """Each record is owned under step-hold, as the pid's job in the node's last snapshot at or before it."""
 
@@ -412,6 +443,20 @@ class TestOwners:
         pidmap = [pidmap_snap("n1", 0.0, {41: 7}), pidmap_snap("n1", 10.0, {41: 8})]
         procs = [("n1", t, 41, t / 10) for t in (0.0, 10.0, 20.0)]
         assert cpu_watts_by_owner(pidmap, procs) == {("n1", 0.0): ({7: 200.0}, 0.0), ("n1", 10.0): ({8: 200.0}, 0.0)}
+
+    def test_every_owner_is_numbered_by_node_name_then_ascending_job_before_any_entry(self):
+        # job 9 owns only a record at its node's last instant, so it has no entry but is numbered all the same
+        pidmap = [pidmap_snap("b", 0.0, {41: 8, 42: 3, 43: 9}), pidmap_snap("a", 0.0, {41: 5, 42: 2})]
+        procs = [("b", t, pid, t) for t in (0.0, 10.0) for pid in (41, 42)] + [("b", 10.0, 43, 0.0)]
+        procs += [("a", t, pid, t) for t in (0.0, 10.0) for pid in (41, 42)]
+        power = [power_sample(node, "cpu0", t, 200.0) for node in "ab" for t in (-1.0, 100.0)]
+        cols = attribute_columns(
+            read_power_trace(jsonl(power).splitlines()),
+            read_proc_trace(jsonl([proc_snap(*p) for p in procs]).splitlines()),
+            read_pidmap(jsonl(pidmap).splitlines()),
+        )
+        assert (cols.nodes, cols.jobs) == (["a", "b"], [2, 5, 3, 8, 9])
+        assert [cols.jobs[j] for j in cols.job] == [2, 5, 3, 8]
 
     def test_records_before_the_first_snapshot_or_absent_from_it_are_unattributed(self):
         pidmap = [pidmap_snap("n1", 10.0, {41: 7})]

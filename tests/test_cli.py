@@ -27,6 +27,13 @@ def write_lines(path, lines):
     return str(path)
 
 
+def with_bom(path, tmp_path):
+    """A copy of the file at path that starts with the UTF-8 byte order mark, EF BB BF."""
+    copy = tmp_path / f"bom_{Path(path).name}"
+    copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+    return str(copy)
+
+
 def with_byte_ff(path, line_no, tmp_path):
     """A copy of the file at path whose line line_no starts with 0xff, a byte that UTF-8 never uses."""
     lines = Path(path).read_bytes().splitlines(keepends=True)
@@ -106,6 +113,12 @@ class TestValidate:
         jobs = with_byte_ff(fixture["jobs"], 3, tmp_path)
         assert run_cli("validate", "--jobs", jobs) == (1, "", f"error: MalformedLine: {jobs}: line 3: not UTF-8 text\n")
 
+    @pytest.mark.parametrize("kind", ["jobs", "pidmap"])
+    def test_a_byte_order_mark_is_named(self, tmp_path, fixture, kind):
+        path = with_bom(fixture[kind], tmp_path)
+        expected = f"error: MalformedLine: {path}: line 1: invalid JSON: starts with a byte order mark (U+FEFF)\n"
+        assert run_cli("validate", f"--{kind}", path) == (1, "", expected)
+
     def test_missing_file(self, tmp_path):
         code, out, err = run_cli("validate", "--power", str(tmp_path / "nope.jsonl"))
         assert code == 1
@@ -174,6 +187,12 @@ class TestAttribute:
         proc = with_byte_ff(fixture["proc"], 400, tmp_path)
         argv = ["attribute", "--power", fixture["power"], "--proc", proc, "--pidmap", fixture["pidmap"], "--jobs", fixture["jobs"]]
         assert run_cli(*argv) == (1, "", f"error: MalformedLine: {proc}: line 400: not UTF-8 text\n")
+
+    def test_a_byte_order_mark_is_named(self, tmp_path, fixture):
+        proc = with_bom(fixture["proc"], tmp_path)
+        argv = ["attribute", "--power", fixture["power"], "--proc", proc, "--pidmap", fixture["pidmap"], "--jobs", fixture["jobs"]]
+        expected = f"error: MalformedLine: {proc}: line 1: invalid JSON: starts with a byte order mark (U+FEFF)\n"
+        assert run_cli(*argv) == (1, "", expected)
 
     def test_missing_flags(self, fixture):
         code, out, err = run_cli("attribute", "--power", fixture["power"])

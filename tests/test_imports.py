@@ -6,14 +6,14 @@ modules; each public name loads its module on first access, and the CLI
 imports each module in the command that runs it, so validate reads with
 traces and jobs alone.  calibrate and report gpu-hist never load
 attribution: calibrate fits and prints with calibration and traces, and
-gpu-hist reads proc, and the pidmap and jobs for --per-job-mean.  numpy is
-loaded only by the attribution split, that is by attribute and by report on
-raw traces; calibrate sums with math.fsum and interpolates with the stdlib.
-The record functions that stay off the split (parse_power_trace and
-fit_nodes, parse_slices and integrate_energy) do not load it either.  No
-command loads concurrent.futures or dataclasses.  The CLI's entry point runs OpenBLAS with one thread, so
-loading numpy starts no thread pool.  Each check runs in a subprocess so
-that modules loaded by the test session do not count.
+gpu-hist reads proc, and the pidmap and jobs for --per-job-mean.  No command
+loads numpy: the attribution split, calibrate's fit and every report run on
+the stdlib, so attribute and report on raw traces load it no more than the
+rest, and the record functions (parse_power_trace and fit_nodes,
+parse_slices and integrate_energy) do not load it either.  No command loads
+concurrent.futures or dataclasses, and the CLI starts no thread, whatever
+OPENBLAS_NUM_THREADS says.  Each check runs in a subprocess so that modules
+loaded by the test session do not count.
 """
 
 import io
@@ -70,7 +70,7 @@ def raw_flags(f):
     return ["--power", f["power"], "--proc", f["proc"], "--pidmap", f["pidmap"], "--jobs", f["jobs"]]
 
 
-def test_light_commands_never_load_numpy_or_the_thread_pool(tmp_path):
+def test_no_command_loads_numpy(tmp_path):
     f = write_status_split_fixture(tmp_path)
     out = io.StringIO()
     assert run(["attribute", *raw_flags(f)], stdout=out, stderr=io.StringIO()) == 0
@@ -88,16 +88,21 @@ def test_light_commands_never_load_numpy_or_the_thread_pool(tmp_path):
         ("calibrate_csv", [*calibrate, "--format", "csv"]),
         ("calibrate_json", [*calibrate, "--format", "json"]),
         ("attribute", ["attribute", *raw_flags(f)]),
+        ("report_raw", ["report", "status", *raw_flags(f), "--model", f["model"]]),
+        ("report_raw_user", ["report", "user", *raw_flags(f), "--format", "csv"]),
     ])
-    for name in ("import", "validate", "report_slices", "report_user", "gpu_hist", "calibrate", "calibrate_csv", "calibrate_json"):
-        assert steps[name] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}, name
-    assert steps["attribute"] == {"code": 0, "numpy": True, "concurrent.futures": False, "dataclasses": False}
+    assert set(steps) == {"import", "validate", "report_slices", "report_user", "gpu_hist", "calibrate", "calibrate_csv",
+                          "calibrate_json", "attribute", "report_raw", "report_raw_user"}
+    for name, step in steps.items():
+        assert step == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}, name
 
 
-def test_report_on_raw_traces_loads_numpy(tmp_path):
+def test_report_on_raw_traces_does_not_load_numpy(tmp_path):
+    # in a fresh interpreter of its own, so that no earlier command's imports count
     f = write_status_split_fixture(tmp_path)
-    steps, _ = probe([("report_raw", ["report", "status", *raw_flags(f), "--model", f["model"]])])
-    assert steps["report_raw"] == {"code": 0, "numpy": True, "concurrent.futures": False, "dataclasses": False}
+    steps, modules = probe([("report_raw", ["report", "status", *raw_flags(f), "--model", f["model"]])])
+    assert steps["report_raw"] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}
+    assert "wattscope.attribution" in modules["report_raw"]
 
 
 def test_record_path_does_not_load_numpy(tmp_path):
@@ -165,7 +170,7 @@ print(code, "numpy" in sys.modules, threads)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 @pytest.mark.parametrize("inherited", [None, "8"])
 def test_the_cli_starts_no_blas_thread_pool(tmp_path, inherited):
-    # OpenBLAS starts one thread per core when numpy is imported, unless OPENBLAS_NUM_THREADS is 1
+    # a BLAS library would start one thread per core unless OPENBLAS_NUM_THREADS is 1; the CLI loads none
     f = write_status_split_fixture(tmp_path)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if inherited is not None:
@@ -174,7 +179,7 @@ def test_the_cli_starts_no_blas_thread_pool(tmp_path, inherited):
         [sys.executable, "-c", MAIN, SRC, "attribute", *raw_flags(f)],
         capture_output=True, text=True, timeout=120, env=env,
     )
-    assert (result.returncode, result.stdout) == (0, "0 True 1\n"), result.stderr
+    assert (result.returncode, result.stdout) == (0, "0 False 1\n"), result.stderr
 
 
 def test_every_public_name_resolves_on_first_access():

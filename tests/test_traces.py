@@ -325,6 +325,15 @@ class TestLineDecoding:
             parse_power_trace([power_line(ts=0.5), line.encode() if as_bytes else line])
         assert str(exc.value) == "line 2: invalid JSON"
 
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    @pytest.mark.parametrize("line_no", [1, 2])
+    def test_a_byte_order_mark_is_named(self, as_bytes, line_no):
+        lines = [power_line(ts=0.5), power_line()][2 - line_no:]
+        lines[-1] = "\ufeff" + lines[-1]
+        with pytest.raises(MalformedLine) as exc:
+            parse_power_trace([line.encode() if as_bytes else line for line in lines])
+        assert str(exc.value) == f"line {line_no}: invalid JSON: starts with a byte order mark (U+FEFF)"
+
     def test_bytes_that_are_not_utf8_are_located(self):
         lines = [power_line(ts=0.5).encode(), b"\n", b'{"node":"n\xff1","src":"cpu0","ts":1.0,"w":1.0}\n']
         with pytest.raises(MalformedLine) as exc:
@@ -351,7 +360,7 @@ def covered_watts(points: list[tuple[float, float]], mids: list[float]) -> list[
 
 
 class TestResample:
-    """Interpolation as calibrate runs it (traces._interp), and which midpoints a series covers in attribute_columns."""
+    """Interpolation as calibrate and the split run it (traces._interp), and which midpoints a series covers."""
 
     def test_midpoint(self):
         assert traces._interp([5.0], [0.0, 10.0], [100.0, 200.0]) == [150.0]
@@ -421,6 +430,35 @@ class TestResample:
         covered = [t for t in grid if ts[0] <= t <= ts[-1]]
         want = np.interp(covered, ts, w).tolist()
         assert [x.hex() for x in traces._interp(covered, ts, w)] == [x.hex() for x in want]
+
+    @given(
+        st.lists(st.integers(-20_000, 20_000), min_size=1, max_size=40, unique=True),
+        st.lists(st.just(-0.0) | st.floats(0.0, 1e4), min_size=40, max_size=40),
+        st.lists(st.integers(-25_000, 25_000), max_size=60),
+        st.booleans(),
+    )
+    def test_matches_np_interp_bit_for_bit(self, ticks, watts, grid_ms, ascending):
+        # numpy is only the oracle here; the grid runs before the first sample and after the last, hits every
+        # sample, holds -0.0 and 0.0, and is walked in ascending order or searched out of order
+        import numpy as np
+
+        ticks.sort()
+        ts, w = [t / 1000.0 for t in ticks], watts[:len(ticks)]
+        grid = [t / 1000.0 for t in grid_ms + ticks] + [-0.0, 0.0]
+        if ascending:
+            grid.sort()
+        want = np.interp(grid, ts, w).tolist()
+        assert [x.hex() for x in traces._interp(grid, ts, w)] == [x.hex() for x in want]
+
+    def test_a_segment_wider_than_the_float_range_interpolates_as_np_interp(self):
+        # ts[1] - ts[0] overflows, so the slope is 0.0; where x - ts[0] overflows too, 0.0 * inf is NaN, and
+        # np.interp then works from ts[1]
+        import numpy as np
+
+        ts, w, grid = [-1e308, 1.5e308], [5.0, 7.0], [-1e308, 0.0, 1e308, 1.5e308]
+        got = traces._interp(grid, ts, w)
+        assert [x.hex() for x in got] == [x.hex() for x in np.interp(grid, ts, w).tolist()]
+        assert got == [5.0, 5.0, 7.0, 7.0]
 
 
 class TestDuplicateProcRecords:
