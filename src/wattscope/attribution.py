@@ -20,11 +20,11 @@ Interval are the record-level view of the same data (SliceColumns.of and
 accept or return for lists of slices.
 
 The split runs on the stdlib alone.  Per node, each process's records are
-taken from the columns by ranges of record numbers, its cpu-time deltas
-add into one {job: seconds} row per slice, and each GPU's slices split by
-a plan cached per set of owners.  Every sum adds in the order of a
-per-slice loop over ascending pids, then jobs, then GPUs, so every float is
-reproducible.
+taken from the columns by its record numbers (one slice of a column where
+they are evenly spaced), its cpu-time deltas add into one {job: seconds}
+row per slice, and each GPU's slices split by a plan cached per tuple of
+owners.  Every sum adds in the order of a per-slice loop over ascending
+pids, then jobs, then GPUs, so every float is reproducible.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from collections import deque
 from functools import reduce
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat
 from math import isfinite, isinf, nan
-from operator import add, attrgetter, eq, iadd, itemgetter, lt, sub, truediv
+from operator import add, attrgetter, eq, gt, itemgetter, lt, sub, truediv
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedLine, NegativeDelta, NodeMismatch, OverlappingSlices, WattscopeError
@@ -219,77 +219,25 @@ def _split(power: float, columns: Sequence[int], weights: Sequence[float]) -> tu
     return shares, 0.0 + (shares[0] if columns[0] == 0 else 0.0)
 
 
-def _picker(indexes: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A function that gives the items of a sequence at indexes, as a tuple."""
-    if len(indexes) == 1:
-        i = indexes[0]
-        return lambda seq: (seq[i],)
-    return itemgetter(*indexes)
+def _record_numbers(proc: array, n_procs: int) -> list[array]:
+    """Each process's record numbers, in file order."""
+    numbers = [array("i") for _ in range(n_procs)]
+    deque(map(array.append, map(numbers.__getitem__, proc), range(len(proc))), maxlen=0)
+    return numbers
 
 
-def _record_runs(proc: array, n_procs: int) -> list[list]:
-    """Each process's record numbers, in file order, as a list of ranges and arrays.
+def _taker(numbers: array) -> Callable[[array], array]:
+    """A function that gives a column's entries at these record numbers, as an array.
 
-    A monitor writes its processes in one order at every tick, so a file is
-    mostly stretches that repeat one sequence of distinct processes.  Each
-    such stretch gives each of its processes one range, whose step is the
-    sequence's length; the stretch's end is found by comparing the column
-    with itself one sequence on, which costs no step per record.  Records
-    where no sequence repeats are listed one by one, in arrays, ever more of
-    them before the next look for a repeat.
+    A monitor that writes its processes in one order at every tick gives
+    each process evenly spaced records, which one slice of a column takes.
     """
-    runs: list[list] = [[] for _ in range(n_procs)]
-    listing: list[array | None] = [None] * n_procs  # per process: the array that its listed records go to
-    i, backoff = 0, 0
-    while i < len(proc):
-        seen, j = set(), i
-        while j < len(proc) and proc[j] not in seen:
-            seen.add(proc[j])
-            j += 1
-        period = j - i
-
-        def repeats(k: int) -> bool:  # whether proc[i:j] follows itself k times
-            return proc[j:j + k * period] == proc[i:i + k * period]
-
-        lo, hi, k = 0, (len(proc) - j) // period, 1
-        while k <= hi and repeats(k):  # gallop, then bisect
-            lo, k = k, 2 * k
-        hi = min(hi, k - 1)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if repeats(mid) else (lo, mid - 1)
-        if lo:
-            end = j + lo * period
-            for k in range(i, j):
-                runs[proc[k]].append(range(k, end, period))
-                listing[proc[k]] = None
-            backoff = 0
-        else:
-            backoff = min(2 * backoff or 64, 1 << 16)
-            end = min(len(proc), max(j, i + backoff))
-            for p in set(proc[i:end]):
-                if listing[p] is None:
-                    listing[p] = array("i")
-                    runs[p].append(listing[p])
-            deque(map(array.append, map(listing.__getitem__, proc[i:end]), range(i, end)), maxlen=0)
-        i = end
-    return runs
-
-
-def _taker(pieces: list) -> Callable[[array], array]:
-    """A function that gives a column's entries at the record numbers in pieces (ranges and arrays), as an array."""
-
-    def part(piece: range | array) -> Callable[[array], array]:
-        if type(piece) is range:
-            key = slice(piece.start, piece.stop, piece.step)
-            return lambda column: column[key]
-        pick = _picker(piece)
-        return lambda column: array(column.typecode, pick(column))
-
-    parts = list(map(part, pieces))
-    if len(parts) == 1:
-        return parts[0]
-    return lambda column: reduce(iadd, (part(column) for part in parts), array(column.typecode))
+    step = numbers[1] - numbers[0] if len(numbers) > 1 else 1
+    if numbers.tobytes() == array("i", range(numbers[0], numbers[-1] + 1, step)).tobytes():
+        key = slice(numbers[0], numbers[-1] + 1, step)
+        return lambda column: column[key]
+    pick = itemgetter(*numbers)
+    return lambda column: array(column.typecode, pick(column))
 
 
 class _Stay(NamedTuple):
@@ -298,7 +246,7 @@ class _Stay(NamedTuple):
     rank: int  # the process's place in pid order
     first: int
     owner: list  # owner column
-    sm: array  # sm_pct, 0.0 where absent
+    sm: array  # sm_pct, 0.0 where absent; never -0.0
     mem: array  # mem_mib, NaN where absent
 
 
@@ -319,32 +267,35 @@ def _stretches(stays: list, lo: int, hi: int) -> Iterator[tuple[int, int, list]]
         yield u, v, present
 
 
-def _gpu_plan(owners: tuple) -> tuple[list, Callable[[tuple], Sequence[float]] | None]:
+def _gpu_plan(owners: tuple) -> tuple[list, Callable[[Sequence[float]], Sequence[float]]]:
     """How a GPU splits a slice among processes with these owner columns, in pid order.
 
     Returns the columns present, ascending, and a function that gives each
-    one's weight from a reading per process, adding the readings of a
-    column's processes in pid order from 0.0; None for the function when the
-    readings are the weights, one process per column in column order.
+    one's weight from a reading per process: the readings of the column's
+    processes added in pid order from 0.0.  No reading is -0.0, so a lone
+    reading is its own sum: with one process per column the function only
+    puts the readings in column order.
     """
     processes: dict[int, list] = {}
     for p, c in enumerate(owners):
         processes.setdefault(c, []).append(p)
     columns = sorted(processes)
-    if len(columns) == len(owners):  # one process per column: x is 0.0 + x, as no reading is -0.0
+    if len(columns) == len(owners):
         order = [processes[c][0] for c in columns]
-        return columns, None if order == sorted(order) else _picker(order)
-    picks = [_picker(processes[c]) for c in columns]
-    return columns, lambda readings: [reduce(add, pick(readings), 0.0) for pick in picks]
+        return columns, tuple if order == sorted(order) else itemgetter(*order)
+    groups = [processes[c] for c in columns]
+    return columns, lambda readings: [reduce(add, map(readings.__getitem__, ps), 0.0) for ps in groups]
 
 
 def _split_gpu(stays: list, lo: int, watts: list, gpu_w: list, unattr_gpu: list) -> None:
     """Split one GPU's watts at slices lo, lo + 1, ... (None where it misses the midpoint) among its stays.
 
     GPU activity is taken from the snapshot at interval start.  A slice
-    splits by summed sm_pct, else by summed mem_mib, else 1 per job present;
-    the job's watts add to gpu_w[slice][column], and column 0's and those of
-    a slice without processes to unattr_gpu[slice].
+    splits by its jobs' summed sm_pct if some sum is positive, else by their
+    summed mem_mib if some sum is, else 1 per job present; as for the CPU, a
+    total that is not positive leaves all of the watts unattributed.  The
+    job's watts add to gpu_w[slice][column], and column 0's and those of a
+    slice without a share to unattr_gpu[slice].
     """
     plans: dict[tuple, tuple] = {}
     for u, v, present in _stretches(stays, lo, lo + len(watts)):
@@ -361,13 +312,15 @@ def _split_gpu(stays: list, lo: int, watts: list, gpu_w: list, unattr_gpu: list)
             if plan is None:
                 plan = plans[on] = _gpu_plan(on)
             columns, weigh = plan
-            readings = sms
-            if not max(sms) > 0:
-                readings = [0.0 + x if x == x else 0.0 for x in (s.mem[t - s.first] for s in present)]
-                if not max(readings) > 0:
-                    readings = None
-            weights = [1.0] * len(columns) if readings is None else weigh(readings) if weigh else readings
-            total = reduce(add, weights, 0.0)  # positive: some weight is, and none is negative
+            weights = weigh(sms)
+            if not any(map(gt, weights, repeat(0.0))):
+                weights = weigh([0.0 + x if x == x else 0.0 for x in (s.mem[t - s.first] for s in present)])
+                if not any(map(gt, weights, repeat(0.0))):
+                    weights = [1.0] * len(columns)
+            total = reduce(add, weights, 0.0)  # the rule of _split, inline
+            if not total > 0:
+                unattr_gpu[t] += w
+                continue
             job_w = gpu_w[t]
             get = job_w.get
             for c, x in zip(columns, weights):
@@ -376,23 +329,22 @@ def _split_gpu(stays: list, lo: int, watts: list, gpu_w: list, unattr_gpu: list)
                 unattr_gpu[t] += 0.0 + w * (weights[0] / total)
 
 
-def _node_slices(out: SliceColumns, node: str, runs: list, procs: ProcColumns, series: list, owners) -> None:
-    """Add one node's slices to out; runs holds each process's pid and record numbers (as _record_runs gives them), by pid."""
+def _node_slices(out: SliceColumns, node: str, processes: list, procs: ProcColumns, series: list, owners) -> None:
+    """Add one node's slices to out; processes holds each process's pid and record numbers, by pid."""
     visited = []  # per process: pid, a function that takes its records in ts order from a column, and their ts
     instants, last = set(), b""
-    for pid, ranges in runs:
-        take = _taker(ranges)
+    for pid, numbers in processes:
+        take = _taker(numbers)
         at = take(procs.ts)
-        if at.tobytes() != last:
+        if at.tobytes() != last:  # a process seen at the same instants as the one before adds none
             if not all(map(lt, at, islice(at, 1, None))):
                 order = sorted(range(len(at)), key=at.__getitem__)  # stable: the copies of one ts stay in file order
-                pick = _picker([i for i, j in zip(order, order[1:] + [None]) if j is None or at[i] != at[j]])  # the last
-                take = (lambda column, take=take, pick=pick: array(column.typecode, pick(take(column))))
+                take = _taker(array("i", [numbers[i] for i, j in zip(order, order[1:] + [None]) if j is None or at[i] != at[j]]))  # the last
                 at = take(procs.ts)
             instants.update(at)  # a set keeps the first of equal keys: -0.0 and 0.0 at one instant give its lowest pid's ts
             last = at.tobytes()
         visited.append((pid, take, at))
-    ticks = tuple(sorted(instants))
+    ticks = sorted(instants)
     n = len(ticks) - 1
     if n < 1:
         return
@@ -423,7 +375,8 @@ def _node_slices(out: SliceColumns, node: str, runs: list, procs: ProcColumns, s
     for rank, (take, tick, owner) in enumerate(placed):
         owner[:] = map(column.__getitem__, owner)
         cpu = take(procs.cpu)
-        if type(tick) is range:
+        whole = type(tick) is range
+        if whole:
             steps = zip(map(sub, islice(cpu, 1, None), cpu), deltas[tick.start:tick.stop], owner)
         else:  # the delta comes first, so that zip stops before the row of the last tick, which has none
             steps = zip(map(sub, islice(cpu, 1, None), cpu), map(deltas.__getitem__, tick), owner)
@@ -434,12 +387,13 @@ def _node_slices(out: SliceColumns, node: str, runs: list, procs: ProcColumns, s
         if max(gpu) < 0:
             continue
         sm, mem = array("d", [0.0 + x if x == x else 0.0 for x in take(procs.sm)]), take(procs.mem)
-        cuts = [0, len(gpu)] if type(tick) is range and min(gpu) == max(gpu) else [  # runs of consecutive ticks on one GPU
-            0, *(i for i in range(1, len(gpu)) if gpu[i] != gpu[i - 1] or tick[i] != tick[i - 1] + 1), len(gpu)]
+        if whole and min(gpu) == max(gpu):
+            cuts = [0, len(gpu)]
+        else:  # runs of consecutive ticks on one GPU
+            cuts = [0, *(i for i in range(1, len(gpu)) if gpu[i] != gpu[i - 1] or tick[i] != tick[i - 1] + 1), len(gpu)]
         for i, j in zip(cuts, islice(cuts, 1, None)):
             if gpu[i] >= 0:
-                whole = j - i == len(gpu)
-                stays.setdefault(gpu[i], []).append(_Stay(rank, tick[i], *(v if whole else v[i:j] for v in (owner, sm, mem))))
+                stays.setdefault(gpu[i], []).append(_Stay(rank, tick[i], owner[i:j], sm[i:j], mem[i:j]))
     for row in deltas:
         if any(map(lt, row.values(), repeat(0.0))):
             raise NegativeDelta(jobs[min(c for c, d in row.items() if d < 0)])
@@ -513,11 +467,11 @@ def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerInde
         key=lambda s: (s[1].kind, s[1].index),
     ):
         series.setdefault(node, []).append((source.kind, source.index, ts, w))
-    runs = _record_runs(procs.proc, len(procs.pids))
-    by_name = sorted(range(len(runs)), key=lambda p: (procs.nodes[procs.node_of[p]], procs.pids[p]))
+    numbers = _record_numbers(procs.proc, len(procs.pids))
+    by_name = sorted(range(len(numbers)), key=lambda p: (procs.nodes[procs.node_of[p]], procs.pids[p]))
     for n, group in groupby(by_name, procs.node_of.__getitem__):  # nodes in name order, processes by pid
         node = procs.nodes[n]
-        _node_slices(out, node, [(procs.pids[p], runs[p]) for p in group], procs, series.get(node, []), owners.get(node))
+        _node_slices(out, node, [(procs.pids[p], numbers[p]) for p in group], procs, series.get(node, []), owners.get(node))
     return out
 
 

@@ -490,27 +490,20 @@ def _interp(grid: Iterable[float], ts: Sequence[float], w: Sequence[float]) -> l
     As in np.interp, a grid point before the first sample or after the last
     takes that sample's value, and a point on a sample takes its value.
     Between samples, the segment's slope is applied from its left end, or
-    from its right end where that gives NaN.  An ascending grid is one walk
-    along the samples: a point in the previous point's segment or the next
-    one needs no search.
+    from its right end where that gives NaN.
     """
+    ts, w = list(ts), list(w)  # a list is bisected and indexed without boxing a float per probe
     last = len(ts) - 1
     out = []
-    j, lo, hi = 0, ts[0], ts[1] if last else math.inf  # the previous point's segment [lo, hi) = [ts[j], ts[j + 1])
     for x in grid:
-        if not lo <= x < hi:
-            if hi <= x and j + 1 < last and x < ts[j + 2]:
-                j += 1
-            else:
-                j = max(bisect_right(ts, x) - 1, 0)
-            lo, hi = ts[j], ts[j + 1] if j < last else math.inf
-        if x <= lo or j == last:  # on a sample, or before the first or after the last
+        j = bisect_right(ts, x, 1) - 1  # from 1: a point before the second sample is in the first segment
+        if j == last or x <= ts[j]:  # on a sample, or before the first or after the last
             out.append(w[j])
         else:
-            slope = (w[j + 1] - w[j]) / (hi - lo)
-            v = slope * (x - lo) + w[j]
+            slope = (w[j + 1] - w[j]) / (ts[j + 1] - ts[j])
+            v = slope * (x - ts[j]) + w[j]
             if v != v:
-                v = slope * (x - hi) + w[j + 1]
+                v = slope * (x - ts[j + 1]) + w[j + 1]
                 if v != v and w[j] == w[j + 1]:
                     v = w[j]
             out.append(v)

@@ -327,6 +327,26 @@ class TestAttribute:
         with_copy = dict(sc, procs=sc["procs"][:3] + [proc_snap("n1", 10.0, 42, 9.0, gpu=0, sm=5.0)] + sc["procs"][3:])
         assert run_attribution(with_copy) == run_attribution(sc)
 
+    def test_gpu_readings_that_sum_to_no_positive_total_leave_the_gpu_unattributed(self):
+        # built objects skip the parser's range check; as a CPU split with no positive total, the
+        # GPU's watts stay unattributed, and the jobs keep their CPU shares
+        sc = self.flat_scenario()
+        sc["procs"] = [proc_snap("n1", ts, pid, ts, gpu=0, sm=sm) for ts in (0.0, 10.0) for pid, sm in ((41, 10.0), (42, -10.0))]
+        (s,) = run_attribution(sc)
+        assert s.per_job == {7: JobPower(100.0, 0.0), 8: JobPower(100.0, 0.0)}
+        assert s.unattributed_gpu_w == 300.0
+
+    def test_the_gpu_tier_is_chosen_by_each_jobs_summed_readings(self):
+        # job 7's sm_pct sums to 0.0 and job 8's is 0.0, so no job has a positive sm sum: the GPU
+        # splits by summed mem_mib, 2000 to 3000
+        sc = self.flat_scenario()
+        readings = ((41, 7, 10.0, 1000.0), (42, 8, 0.0, 3000.0), (43, 7, -10.0, 1000.0))
+        sc["procs"] = [proc_snap("n1", ts, pid, 0.0, gpu=0, sm=sm, mem=mem) for ts in (0.0, 10.0) for pid, _, sm, mem in readings]
+        sc["pidmap"] = [pidmap_snap("n1", 0.0, {pid: job for pid, job, _, _ in readings})]
+        (s,) = run_attribution(sc)
+        assert s.per_job == {7: JobPower(0.0, 120.0), 8: JobPower(0.0, 180.0)}
+        assert s.unattributed_gpu_w == 0.0
+
     def test_an_instant_read_as_minus_zero_and_zero_starts_at_its_lowest_pids_ts(self):
         # -0.0 == 0.0, so both name one instant, and t0 prints as its lowest pid has it; with this many
         # pids an unstable sort of the node's ts would put another pid's 0.0 first
