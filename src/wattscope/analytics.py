@@ -8,10 +8,11 @@ by default, since that is what the machine room pays for).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
+from functools import reduce
 from math import isfinite
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from operator import add
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingCapacity, UnknownJob, WattscopeError
 from .traces import (
@@ -22,6 +23,7 @@ from .traces import (
     SM_PCT,
     ProcColumns,
     ProcSnapshot,
+    _dumps,
     _render,
 )
 
@@ -56,18 +58,6 @@ class UtilizationHistogram(NamedTuple):
     excluded: int  # GPU samples lacking the metric
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """values added in order, one rounding per step.
-
-    sum() compensates float rounding since Python 3.12, which would make a
-    report's last digits depend on the interpreter's version.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def _breakdown(
     key_label: str,
     jobs: Sequence[JobRecord],
@@ -99,7 +89,7 @@ def _breakdown(
     names = ("gpu", "cpu", "ext")
     at = 1 + names.index(column)  # the share column's place in a group
     keyed = sorted(groups.items())
-    total = 0.0  # added left to right, as _left_sum adds
+    total = 0.0  # added left to right, one rounding per step
     for key, group in keyed:
         for name, value in zip(names, group[1:]):
             if not isfinite(value):
@@ -171,7 +161,7 @@ def gpu_histogram(
     When job_of is given, samples are grouped by job (samples whose pid
     maps to no job stay separate per pid) and the per-group mean is
     binned instead of each raw sample.  procs may also be the columns of
-    read_proc_trace.
+    read_proc_trace; built snapshots are checked as its lines are.
 
     Raises:
         MissingCapacity: MEM_PCT needs a capacity the map does not have.
@@ -211,13 +201,13 @@ def gpu_histogram(
             keyed.setdefault(key, []).append(value)
 
     if job_of is not None:
-        values = [_left_sum(vs) / len(vs) for vs in keyed.values()]
+        # not sum(), which compensates float rounding since Python 3.12: the last digits would depend on the version
+        values = [reduce(add, vs, 0.0) / len(vs) for vs in keyed.values()]
 
     edges = [100.0 * i / n_bins for i in range(n_bins + 1)]
     counts = [0] * n_bins
     for value in values:
-        # the last bin is right-closed, and a negative reading from unchecked built snapshots lands in bin 0
-        counts[min(max(bisect_right(edges, value) - 1, 0), n_bins - 1)] += 1
+        counts[min(bisect_right(edges, value) - 1, n_bins - 1)] += 1  # the last bin is right-closed
     return UtilizationHistogram(metric, tuple(edges), tuple(counts), len(values), excluded)
 
 
@@ -253,4 +243,4 @@ def render_report(report: BreakdownReport | UtilizationHistogram, fmt: str = "te
             for r in report.rows
         )
         tail = ""
-    return _render(fmt, header, rows, json.dumps(obj, separators=(",", ":")) + "\n", tail)
+    return _render(fmt, header, rows, _dumps(obj) + "\n", tail)

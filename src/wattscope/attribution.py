@@ -16,8 +16,9 @@ Slices serialize to JSON lines:
 The commands hold slices as SliceColumns, stdlib arrays laid out like a
 sparse matrix, and build no object per slice; AttributionSlice, JobPower and
 Interval are the record-level view of the same data (SliceColumns.of and
-.slices convert), which attribute, parse_slices and the functions below
-accept or return for lists of slices.
+.slices convert; .of checks each slice as read_slices checks a line), which
+attribute, parse_slices and the functions below accept or return for lists
+of slices.
 
 The split runs on the stdlib alone.  Per node, each process's records are
 taken from the columns by its record numbers (one slice of a column where
@@ -168,13 +169,15 @@ class SliceColumns:
 
     @classmethod
     def of(cls, slices: Iterable[AttributionSlice]) -> "SliceColumns":
-        """Columns of already-built slices, in their order."""
-        cols = cls()
-        for s in slices:
-            entries = [(job_id, p.cpu_w, p.gpu_w, p.ext_w) for job_id, p in s.per_job.items()]
-            cols._append(s.node_id, s.interval.t0, s.interval.t1, entries,
-                         s.unattributed_cpu_w, s.unattributed_gpu_w, s.unattributed_ext_w)
-        return cols
+        """Columns of built slices, checked as read_slices checks lines, slice i (from 1) standing for line i."""
+        records = (
+            {"node": s.node_id, "t0": s.interval.t0, "t1": s.interval.t1,
+             "jobs": {str(job_id): {"cpu_w": p.cpu_w, "gpu_w": p.gpu_w, "ext_w": p.ext_w} for job_id, p in s.per_job.items()},
+             "unattr_cpu_w": s.unattributed_cpu_w, "unattr_gpu_w": s.unattributed_gpu_w,
+             "unattr_ext_w": s.unattributed_ext_w}
+            for s in slices
+        )
+        return _slices(enumerate(records, 1))
 
     def slices(self) -> list[AttributionSlice]:
         entries = zip(self.job, self.cpu, self.gpu, self.ext)
@@ -292,10 +295,9 @@ def _split_gpu(stays: list, lo: int, watts: list, gpu_w: list, unattr_gpu: list)
 
     GPU activity is taken from the snapshot at interval start.  A slice
     splits by its jobs' summed sm_pct if some sum is positive, else by their
-    summed mem_mib if some sum is, else 1 per job present; as for the CPU, a
-    total that is not positive leaves all of the watts unattributed.  The
-    job's watts add to gpu_w[slice][column], and column 0's and those of a
-    slice without a share to unattr_gpu[slice].
+    summed mem_mib if some sum is, else 1 per job present; readings are never
+    negative, so the total is positive.  The job's watts add to
+    gpu_w[slice][column], and column 0's also to unattr_gpu[slice].
     """
     plans: dict[tuple, tuple] = {}
     for u, v, present in _stretches(stays, lo, lo + len(watts)):
@@ -317,10 +319,7 @@ def _split_gpu(stays: list, lo: int, watts: list, gpu_w: list, unattr_gpu: list)
                 weights = weigh([0.0 + x if x == x else 0.0 for x in (s.mem[t - s.first] for s in present)])
                 if not any(map(gt, weights, repeat(0.0))):
                     weights = [1.0] * len(columns)
-            total = reduce(add, weights, 0.0)  # the rule of _split, inline
-            if not total > 0:
-                unattr_gpu[t] += w
-                continue
+            total = reduce(add, weights, 0.0)
             job_w = gpu_w[t]
             get = job_w.get
             for c, x in zip(columns, weights):
@@ -337,9 +336,8 @@ def _node_slices(out: SliceColumns, node: str, processes: list, procs: ProcColum
         take = _taker(numbers)
         at = take(procs.ts)
         if at.tobytes() != last:  # a process seen at the same instants as the one before adds none
-            if not all(map(lt, at, islice(at, 1, None))):
-                order = sorted(range(len(at)), key=at.__getitem__)  # stable: the copies of one ts stay in file order
-                take = _taker(array("i", [numbers[i] for i, j in zip(order, order[1:] + [None]) if j is None or at[i] != at[j]]))  # the last
+            if not all(map(lt, at, islice(at, 1, None))):  # a file may list a process's ts out of order, never twice
+                take = _taker(array("i", sorted(numbers, key=procs.ts.__getitem__)))
                 at = take(procs.ts)
             instants.update(at)  # a set keeps the first of equal keys: -0.0 and 0.0 at one instant give its lowest pid's ts
             last = at.tobytes()
@@ -459,7 +457,7 @@ def _node_slices(out: SliceColumns, node: str, processes: list, procs: ProcColum
 
 
 def attribute_columns(power: PowerColumns, procs: ProcColumns, owners: OwnerIndex) -> SliceColumns:
-    """attribute() on trace columns and an ownership index; a repeated (node, ts, pid) counts as its last."""
+    """attribute() on trace columns and an ownership index."""
     out = SliceColumns()
     series: dict[str, list] = {}  # node -> (kind, index, ts, w) per cpu or gpu series, by kind and index
     for (node, _), source, ts, w in sorted(
@@ -488,6 +486,9 @@ def attribute(
     start; node power for the interval is each series linearly resampled
     at the interval midpoint (series not covering the midpoint contribute
     nothing).  GPU activity is taken from the snapshot at interval start.
+
+    The samples and snapshots are checked as their readers check lines,
+    each one's 1-based position in its sequence standing for its line.
 
     threads is validated and otherwise ignored: the split is pure Python,
     which a thread pool cannot speed up under the GIL.
@@ -535,7 +536,7 @@ def integrate_energy(
     nodes, node, t0, t1, start = cols.nodes, cols.node, cols.t0, cols.t1, cols.start
     job, cpu, gpu, ext = cols.job, cols.cpu, cols.gpu, cols.ext
     ids = cols.jobs + [UNATTRIBUTED_JOB]
-    unattributed = ids.index(UNATTRIBUTED_JOB)  # job 0's own number where entries name it, so they share its bucket
+    unattributed = len(cols.jobs)  # entries name real jobs only, so the unattributed bucket is a number of its own
     acc: dict[int, list] = {}  # job number -> [cpu_j, gpu_j, ext_j], ext_j None until an ext watt adds to 0.0
     last_node = last_end = None
     for i in sorted(range(len(cols)), key=lambda i: (nodes[node[i]], t0[i])):
@@ -623,12 +624,9 @@ def _slice_lines(cols: SliceColumns) -> Iterator[str]:
     """Each slice as a JSON line, with the bytes _dumps writes for its object.
 
     A float is written as float.__repr__, as the json module writes it, and
-    a node name once, by _dumps; a NaN or infinity that would be written
-    raises the ValueError that _dumps raises.
+    a node name once, by _dumps; an ext watt that apply_calibration took past
+    the float range raises the ValueError that _dumps raises.
     """
-    for column in (cols.t0, cols.t1, cols.unattr_cpu, cols.unattr_gpu, cols.cpu, cols.gpu):
-        if not all(map(isfinite, column)):
-            _dumps(next(v for v in column if not isfinite(v)))
     for column in (cols.unattr_ext, cols.ext):  # NaN marks an absent ext watt here
         if any(map(isinf, column)):
             _dumps(next(v for v in column if isinf(v)))
@@ -660,8 +658,13 @@ def _watt_field(obj: dict, key: str, line_no: int, required: bool = True) -> flo
 
 def read_slices(lines: Iterable[str]) -> SliceColumns:
     """Read serialized attribution slices (the attribute subcommand's output) into columns."""
+    return _slices(iter_records(lines))
+
+
+def _slices(records: Iterable[tuple[int, dict]]) -> SliceColumns:
+    """read_slices on (line_no, object) pairs."""
     cols = SliceColumns()
-    for line_no, obj in iter_records(lines):
+    for line_no, obj in records:
         node = _field_str(obj, "node", line_no)
         t0 = _field_num(obj, "t0", line_no)
         t1 = _field_num(obj, "t1", line_no)

@@ -55,8 +55,8 @@ class OutOfRangeUtilization(TraceError):
 class DuplicatePid(TraceError):
     """A pid was assigned to more than one job within a single snapshot.
 
-    Read from a file, it names the line.  Merged from built objects, which
-    have no line, it names the node instead and line_no is None.
+    Read from a file or built snapshots, it names the line.  Folded from
+    timelines, which have no line, it names the node instead and line_no is None.
     """
 
     def __init__(self, pid: int, ts: float, line_no: int | None = None, node_id: str = ""):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DuplicatePid, MalformedLine, MultiNodeJob, UnknownJob
+from .errors import DuplicatePid, MalformedLine, MultiNodeJob, UnknownJob, WattscopeError
 from .traces import _field_int, _field_num, _field_str, canonical_ts, iter_records
 
 UNATTRIBUTED_JOB = 0
@@ -61,7 +61,7 @@ class PidTimeline(NamedTuple):
 def _step_index(snapshots: Iterable[tuple[str, float, Iterable[tuple[int, int]], int | None]]) -> OwnerIndex:
     """Merge (node, ts, (pid, job_id) pairs, line_no) snapshots that share (node, ts) into the step index.
 
-    line_no is None for snapshots of built objects, which have no input line.
+    line_no is None for the snapshots that ownership_index folds from timelines, which have no input line.
 
     Pairs are read in order, so an error a pair iterator raises comes in
     file order with the DuplicatePid raised here for a pid given two jobs.
@@ -85,30 +85,32 @@ def read_pidmap(lines: Iterable[str]) -> OwnerIndex:
 
     Raises MalformedLine and DuplicatePid.
     """
+    return _step_index(_pidmap(iter_records(lines)))
+
+
+def _pidmap(records: Iterable[tuple[int, dict]]):
+    """read_pidmap's loop on (line_no, object) pairs: (node, ts, pairs, line_no) per record, for _step_index."""
     known: dict[int, int] = {}  # one int object per distinct pid across snapshots
+    for line_no, obj in records:
+        node = _field_str(obj, "node", line_no)
+        ts = canonical_ts(_field_num(obj, "ts", line_no))
+        raw_map = obj.get("map")
+        if not isinstance(raw_map, list):
+            raise MalformedLine(line_no, "missing or invalid 'map'")
+        yield node, ts, _pairs(raw_map, line_no, known), line_no
 
-    def pairs(raw_map: list, line_no: int):
-        for pair in raw_map:
-            # JSON gives exact types, so this excludes bools and floats
-            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
-                raise MalformedLine(line_no, "map entries must be [pid, job_id] integer pairs")
-            pid, job_id = pair
-            if pid < 1:
-                raise MalformedLine(line_no, f"invalid pid {pid}")
-            if job_id < 1:
-                raise MalformedLine(line_no, f"invalid job id {job_id} (0 is reserved)")
-            yield known.setdefault(pid, pid), job_id
 
-    def snapshots():
-        for line_no, obj in iter_records(lines):
-            node = _field_str(obj, "node", line_no)
-            ts = canonical_ts(_field_num(obj, "ts", line_no))
-            raw_map = obj.get("map")
-            if not isinstance(raw_map, list):
-                raise MalformedLine(line_no, "missing or invalid 'map'")
-            yield node, ts, pairs(raw_map, line_no), line_no
-
-    return _step_index(snapshots())
+def _pairs(raw_map: list, line_no: int, known: dict[int, int]):
+    for pair in raw_map:
+        # JSON gives exact types, so this excludes bools and floats
+        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+            raise MalformedLine(line_no, "map entries must be [pid, job_id] integer pairs")
+        pid, job_id = pair
+        if pid < 1:
+            raise MalformedLine(line_no, f"invalid pid {pid}")
+        if job_id < 1:
+            raise MalformedLine(line_no, f"invalid job id {job_id} (0 is reserved)")
+        yield known.setdefault(pid, pid), job_id
 
 
 def check_owners(index: OwnerIndex, jobs: Sequence[JobRecord]) -> dict[int, JobRecord]:
@@ -169,16 +171,21 @@ def build_timelines(
 ) -> dict[int, PidTimeline]:
     """Build one pid timeline per job from pidmap snapshots.
 
-    Insensitive to snapshot input order.  A job that appears in at least
-    one snapshot gets an entry at every snapshot ts on its node (with an
-    empty set where it is absent), so step-hold lookups match the latest
-    snapshot at or before t.  Jobs never observed get no entries.
+    The snapshots are checked as read_pidmap checks lines, snapshot i (from
+    1) standing for line i.  Insensitive to snapshot input order.  A job
+    that appears in at least one snapshot gets an entry at every snapshot ts
+    on its node (with an empty set where it is absent), so step-hold lookups
+    match the latest snapshot at or before t.  Jobs never observed get no
+    entries.
 
     Raises:
+        MalformedLine: a snapshot that read_pidmap would reject.
         DuplicatePid: conflicting assignments merged at the same (node, ts).
         UnknownJob, MultiNodeJob: as check_owners.
     """
-    index = _step_index((s.node_id, s.ts, s.assignments, None) for s in snapshots)
+    records = ({"node": s.node_id, "ts": s.ts, "map": [list(p) if isinstance(p, tuple) else p for p in s.assignments]}
+               for s in snapshots)  # a pair that is not a tuple reaches the reader's checks as it is
+    index = _step_index(_pidmap(enumerate(records, 1)))
     jobs_by_id = check_owners(index, jobs)
 
     observed: dict[int, dict[float, set[int]]] = {}
@@ -199,8 +206,11 @@ def build_timelines(
 def ownership_index(timelines: Mapping[int, PidTimeline]) -> OwnerIndex:
     """Fold timelines back into the per-node step index.
 
-    Raises DuplicatePid when two timelines hold one pid on a node at one ts.
+    Raises DuplicatePid when two timelines hold one pid on a node at one ts,
+    and WattscopeError for a job id below 1, which no job record has.
     """
+    if timelines and min(timelines) < 1:
+        raise WattscopeError(f"invalid job id {min(timelines)} (0 is reserved)")
     return _step_index(
         (timelines[job_id].node_id, ts, ((pid, job_id) for pid in sorted(pids)), None)
         for job_id in sorted(timelines)

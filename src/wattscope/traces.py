@@ -15,6 +15,8 @@ are optional; an absent reading means "not observed", never zero.
 read_power_trace and read_proc_trace check each record into stdlib
 ``array`` columns, building no object per record; parse_power_trace and
 parse_proc_trace build the record objects from those columns.
+PowerColumns.of and ProcColumns.of put built records through the same
+checks, each record's 1-based position standing for its line.
 """
 
 from __future__ import annotations
@@ -174,17 +176,9 @@ class PowerColumns:
 
     @classmethod
     def of(cls, samples: Iterable[PowerSample]) -> "PowerColumns":
-        """Columns of already-built samples, each series sorted by (ts, w)."""
-        cols, number, grouped = cls(), {}, {}
-        for s in samples:
-            grouped.setdefault((s.node_id, str(s.source)), [s.source]).append((s.ts, s.power_w))
-        for (node, tag), (source, *points) in grouped.items():
-            k = cols._new_series(number, node, tag, source)
-            points.sort()
-            cols.ts[k].extend([p[0] for p in points])
-            cols.w[k].extend([p[1] for p in points])
-            cols.rows.extend([k] * len(points))
-        return cols
+        """Columns of built samples, checked as read_power_trace checks lines, sample i (from 1) standing for line i."""
+        records = ({"node": s.node_id, "src": str(s.source), "ts": s.ts, "w": s.power_w} for s in samples)
+        return _power(enumerate(records, 1))
 
     def samples(self) -> list[PowerSample]:
         at = [iter(zip(ts, w)) for ts, w in zip(self.ts, self.w)]
@@ -220,19 +214,9 @@ class ProcColumns:
 
     @classmethod
     def of(cls, snaps: Iterable[ProcSnapshot]) -> "ProcColumns":
-        """Columns of already-built snapshots, unchecked, in their order."""
-        cols, snaps, number, gpu_no = cls(), list(snaps), {}, {}
-        cols.proc.extend([number.setdefault((s.node_id, s.pid), len(number)) for s in snaps])
-        for node, pid in number:
-            cols._new_proc(node, pid)
-        gpus = [s.gpu_index for s in snaps]
-        cols.gpu.extend([-1 if g is None else gpu_no.setdefault(g, len(gpu_no)) for g in gpus])
-        cols.gpus.extend(gpu_no)
-        cols.ts.extend([s.ts for s in snaps])
-        cols.cpu.extend([s.cpu_time_s for s in snaps])
-        cols.sm.extend([math.nan if s.gpu_sm_pct is None else s.gpu_sm_pct for s in snaps])
-        cols.mem.extend([math.nan if s.gpu_mem_mib is None else s.gpu_mem_mib for s in snaps])
-        return cols
+        """Columns of built snapshots, checked as read_proc_trace checks lines, snapshot i (from 1) standing for line i."""
+        keys = ("node", "ts", "pid", "cpu_s", "gpu", "sm_pct", "mem_mib")  # the wire keys of the fields, in order
+        return _procs(enumerate((dict(zip(keys, s)) for s in snaps), 1))
 
     def snapshots(self) -> list[ProcSnapshot]:
         node = [self.nodes[n] for n in self.node_of]
@@ -364,11 +348,16 @@ def read_power_trace(lines: Iterable[str], expected_kind: str | None = None) -> 
     Raises:
         MalformedLine, NonMonotonicTimestamp, NegativePower.
     """
+    return _power(iter_records(lines), expected_kind)
+
+
+def _power(records: Iterable[tuple[int, dict]], expected_kind: str | None = None) -> PowerColumns:
+    """read_power_trace on (line_no, object) pairs."""
     cols = PowerColumns()
     sources: dict[str, Source] = {}  # filled by _power_record with accepted tags only
     number: dict[tuple[str, str], int] = {}  # (node, tag) -> series number
     ts_cols, w_cols, add_row = cols.ts, cols.w, cols.rows.append
-    for line_no, obj in iter_records(lines):
+    for line_no, obj in records:
         node, src, ts, w = obj.get("node"), obj.get("src"), obj.get("ts"), obj.get("w")
         if (
             type(src) is str and src in sources and type(node) is str and node
@@ -423,6 +412,11 @@ def read_proc_trace(lines: Iterable[str]) -> ProcColumns:
     are optional, but sm_pct/mem_mib without a gpu index are rejected.  A
     second record for the same (node, ts, pid) is rejected as MalformedLine.
     """
+    return _procs(iter_records(lines))
+
+
+def _procs(records: Iterable[tuple[int, dict]]) -> ProcColumns:
+    """read_proc_trace on (line_no, object) pairs."""
     cols = ProcColumns()
     state_of: dict[str, dict[int, list]] = {}  # node -> pid -> [process, last cpu_s, latest ts]
     # every record's (process, ts), kept once some process's ts fails to increase, as only then can one repeat
@@ -431,7 +425,7 @@ def read_proc_trace(lines: Iterable[str]) -> ProcColumns:
     num, big, nan, gpu_no = _NUM, _NUM_MAX, math.nan, {}
     add_proc, add_ts, add_cpu = cols.proc.append, cols.ts.append, cols.cpu.append
     add_gpu, add_sm, add_mem = cols.gpu.append, cols.sm.append, cols.mem.append
-    for line_no, obj in iter_records(lines):
+    for line_no, obj in records:
         node, ts, pid, cpu_s = obj.get("node"), obj.get("ts"), obj.get("pid"), obj.get("cpu_s")
         gpu, sm, mem = obj.get("gpu"), obj.get("sm_pct"), obj.get("mem_mib")
         if (

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from wattscope import (
+    AttributionSlice,
     JobRecord,
     PidMapSnapshot,
     PowerSample,
@@ -44,10 +45,11 @@ def job_record(job_id, node="n1", user="u1", submit=0.0, start=0.0, end=100000.0
 
 
 def jsonl(records) -> str:
-    """Power, proc, pidmap or job records as the JSON lines the readers take, written with json.dumps.
+    """Power, proc, pidmap, job or slice records as the JSON lines the readers take, written with json.dumps.
 
-    The library writes none of these formats, and the fixtures depend on no
-    library writer; a proc reading that is None is left out, as on the wire.
+    The library writes none of these formats but slices, and the fixtures
+    depend on no library writer; a proc reading or an ext watt that is None
+    is left out, as on the wire.
     """
     lines = []
     for r in records:
@@ -60,10 +62,20 @@ def jsonl(records) -> str:
                 if value is not None:
                     obj[key] = value
         elif isinstance(r, PidMapSnapshot):
-            obj = {"node": r.node_id, "ts": r.ts, "map": [list(pair) for pair in r.assignments]}
+            obj = {"node": r.node_id, "ts": r.ts, "map": [list(p) if isinstance(p, tuple) else p for p in r.assignments]}
         elif isinstance(r, JobRecord):
             obj = {"job": r.job_id, "user": r.user, "node": r.node_id, "submit": r.t_submit, "start": r.t_start,
                    "end": r.t_end, "status": r.status}
+        elif isinstance(r, AttributionSlice):
+            jobs = {}
+            for job_id, p in r.per_job.items():
+                jobs[str(job_id)] = {"cpu_w": p.cpu_w, "gpu_w": p.gpu_w}
+                if p.ext_w is not None:
+                    jobs[str(job_id)]["ext_w"] = p.ext_w
+            obj = {"node": r.node_id, "t0": r.interval.t0, "t1": r.interval.t1, "jobs": jobs,
+                   "unattr_cpu_w": r.unattributed_cpu_w, "unattr_gpu_w": r.unattributed_gpu_w}
+            if r.unattributed_ext_w is not None:
+                obj["unattr_ext_w"] = r.unattributed_ext_w
         else:
             raise TypeError(f"no wire format for {type(r).__name__}")
         lines.append(json.dumps(obj) + "\n")

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from wattscope import (
     JobEnergy,
     MissingCapacity,
+    OutOfRangeUtilization,
     UnknownJob,
     aggregate_by_status,
     aggregate_by_user,
@@ -250,13 +251,16 @@ class TestGpuHistogram:
             proc_snap("n1", 0.0, 41, 0.0, gpu=0, sm=0.0),
             proc_snap("n1", 0.0, 42, 0.0, gpu=0, sm=50.0),
             proc_snap("n1", 0.0, 43, 0.0, gpu=0, sm=100.0),
-            proc_snap("n1", 0.0, 44, 0.0, gpu=0, sm=-5.0),  # built snapshots are unchecked: lands in bin 0
         ]
         hist = gpu_histogram(procs, n_bins=2)
         assert hist.bin_edges == (0.0, 50.0, 100.0)
-        assert hist.counts == (2, 2)
-        assert hist.n_samples == 4
+        assert hist.counts == (1, 2)
+        assert hist.n_samples == 3
         assert hist.excluded == 0
+        # built snapshots are checked as lines are: a negative reading fails at its position
+        with pytest.raises(OutOfRangeUtilization) as exc:
+            gpu_histogram(procs + [proc_snap("n1", 0.0, 44, 0.0, gpu=0, sm=-5.0)], n_bins=2)
+        assert str(exc.value) == "line 4: sm_pct -5.0 outside [0, 100]"
 
     def test_full_scale_reading_lands_in_last_bin(self):
         procs = [proc_snap("n1", 0.0, 41, 0.0, gpu=0, sm=100.0)]

@@ -315,37 +315,58 @@ class TestAttribute:
         assert close(s.per_job[7].gpu_w, 300.0)
         assert s.per_job[8].gpu_w == 0.0
 
-    def test_cpu_time_regression_surfaces_as_negative_delta(self):
+    def test_cpu_time_regression_in_records_fails_at_its_position(self):
+        # built snapshots are checked as lines are: pid 41's cpu_s falls from 0.0 to -1.0 at the third
         sc = self.flat_scenario()
         sc["procs"][2] = proc_snap("n1", 10.0, 41, -1.0)
-        with pytest.raises(NegativeDelta):
+        with pytest.raises(MalformedLine) as exc:
             run_attribution(sc)
+        assert str(exc.value) == "line 3: negative cumulative cpu time"
+        sc["procs"][0] = proc_snap("n1", 0.0, 41, 5.0)
+        sc["procs"][2] = proc_snap("n1", 10.0, 41, 4.0)
+        with pytest.raises(CpuTimeRegression) as exc:
+            run_attribution(sc)
+        assert str(exc.value) == "line 3: cumulative cpu time decreased for pid 41"
 
-    def test_repeated_snapshot_counts_as_its_last_copy(self):
-        # built objects skip the parser's duplicate check; the later copy wins
+    def test_out_of_order_ts_with_rising_cpu_time_surfaces_as_negative_delta(self):
+        # a file may list a process's ts out of order; its cpu_s rises in file order and falls in ts order
         sc = self.flat_scenario()
-        with_copy = dict(sc, procs=sc["procs"][:3] + [proc_snap("n1", 10.0, 42, 9.0, gpu=0, sm=5.0)] + sc["procs"][3:])
-        assert run_attribution(with_copy) == run_attribution(sc)
+        lines = [
+            '{"node":"n1","ts":10.0,"pid":41,"cpu_s":3.0}', '{"node":"n1","ts":10.0,"pid":42,"cpu_s":1.0}',
+            '{"node":"n1","ts":0.0,"pid":41,"cpu_s":4.0}', '{"node":"n1","ts":0.0,"pid":42,"cpu_s":1.0}',
+        ]
+        owners = read_pidmap(jsonl(sc["pidmap"]).splitlines())
+        with pytest.raises(NegativeDelta) as exc:
+            attribute_columns(read_power_trace(jsonl(sc["power"]).splitlines()), read_proc_trace(lines), owners)
+        assert exc.value.job_id == 7
 
-    def test_gpu_readings_that_sum_to_no_positive_total_leave_the_gpu_unattributed(self):
-        # built objects skip the parser's range check; as a CPU split with no positive total, the
-        # GPU's watts stay unattributed, and the jobs keep their CPU shares
+    def test_repeated_snapshot_is_rejected_at_its_position(self):
+        sc = self.flat_scenario()
+        sc["procs"] = sc["procs"][:3] + [proc_snap("n1", 10.0, 42, 9.0, gpu=0, sm=5.0)] + sc["procs"][3:]
+        with pytest.raises(MalformedLine) as exc:
+            run_attribution(sc)
+        assert str(exc.value) == "line 5: duplicate record for pid 42 at ts 10.0 on node 'n1'"
+
+    def test_negative_sm_pct_is_rejected_at_its_position(self):
         sc = self.flat_scenario()
         sc["procs"] = [proc_snap("n1", ts, pid, ts, gpu=0, sm=sm) for ts in (0.0, 10.0) for pid, sm in ((41, 10.0), (42, -10.0))]
-        (s,) = run_attribution(sc)
-        assert s.per_job == {7: JobPower(100.0, 0.0), 8: JobPower(100.0, 0.0)}
-        assert s.unattributed_gpu_w == 300.0
+        with pytest.raises(OutOfRangeUtilization) as exc:
+            run_attribution(sc)
+        assert (exc.value.line_no, str(exc.value)) == (2, "line 2: sm_pct -10.0 outside [0, 100]")
 
-    def test_the_gpu_tier_is_chosen_by_each_jobs_summed_readings(self):
-        # job 7's sm_pct sums to 0.0 and job 8's is 0.0, so no job has a positive sm sum: the GPU
-        # splits by summed mem_mib, 2000 to 3000
+    def test_readings_that_could_cancel_in_a_jobs_sum_are_rejected_at_their_position(self):
+        # job 7's sm_pct of 10.0 and -10.0 would sum to 0.0; the -10.0 and the -1000.0 mem_mib fail where they are
         sc = self.flat_scenario()
         readings = ((41, 7, 10.0, 1000.0), (42, 8, 0.0, 3000.0), (43, 7, -10.0, 1000.0))
         sc["procs"] = [proc_snap("n1", ts, pid, 0.0, gpu=0, sm=sm, mem=mem) for ts in (0.0, 10.0) for pid, _, sm, mem in readings]
         sc["pidmap"] = [pidmap_snap("n1", 0.0, {pid: job for pid, job, _, _ in readings})]
-        (s,) = run_attribution(sc)
-        assert s.per_job == {7: JobPower(0.0, 120.0), 8: JobPower(0.0, 180.0)}
-        assert s.unattributed_gpu_w == 0.0
+        with pytest.raises(OutOfRangeUtilization) as exc:
+            run_attribution(sc)
+        assert str(exc.value) == "line 3: sm_pct -10.0 outside [0, 100]"
+        sc["procs"][2] = proc_snap("n1", 0.0, 43, 0.0, gpu=0, sm=0.0, mem=-1000.0)
+        with pytest.raises(OutOfRangeUtilization) as exc:
+            run_attribution(sc)
+        assert str(exc.value) == "line 3: negative mem_mib -1000.0"
 
     def test_an_instant_read_as_minus_zero_and_zero_starts_at_its_lowest_pids_ts(self):
         # -0.0 == 0.0, so both name one instant, and t0 prints as its lowest pid has it; with this many
@@ -597,14 +618,15 @@ class TestIntegrateEnergy:
         with pytest.raises(ValueError):
             slice_coverage(slices, max_gap_s=max_gap_s)
 
-    def test_a_job_0_entry_shares_the_unattributed_bucket_in_slice_order(self):
-        # a built slice may list job 0; its watts add to the unattributed bucket, entry first, slice by slice.
-        # 1e16 + 1 rounds back to 1e16, so adding the entries and the unattributed watts apart gives 1e16 + 2
+    def test_a_job_0_entry_is_rejected_at_its_position(self):
+        # job 0 is the unattributed bucket, which a slice carries in its unattr_* watts, as in a slices file
         first = make_slice(t0=0.0, t1=1.0, jobs={0: JobPower(1e16, 0.0)}, un_cpu=1.0)
         second = make_slice(t0=1.0, t1=2.0, jobs={7: JobPower(3.0, 0.0)}, un_cpu=1.0, un_gpu=2.0)
-        energies = integrate_energy([second, first])
-        assert sorted(energies) == [0, 7]
-        assert energies[0].cpu_kwh == (((0.0 + 1e16) + 1.0) + 1.0) / 3.6e6 == 1e16 / 3.6e6
+        with pytest.raises(MalformedLine) as exc:
+            integrate_energy([second, first])
+        assert str(exc.value) == "line 2: invalid job entry for '0'"
+        energies = integrate_energy([second, first._replace(per_job={}, unattributed_cpu_w=1e16)])
+        assert energies[0].cpu_kwh == ((0.0 + 1.0) + 1e16) / 3.6e6  # slice by slice in t0 order
         assert (energies[0].gpu_kwh, energies[7].cpu_kwh) == (2.0 / 3.6e6, 3.0 / 3.6e6)
 
     def test_ext_energy_is_none_only_for_jobs_that_never_had_an_ext_watt(self):

@@ -12,6 +12,7 @@ from wattscope import (
     PidTimeline,
     TraceError,
     UnknownJob,
+    WattscopeError,
     build_timelines,
     parse_jobs,
     parse_pidmap,
@@ -321,22 +322,28 @@ class TestReadPidmap:
         assert (exc.value.line_no, exc.value.pid, exc.value.ts) == (3, 41, 10.0)
         assert str(exc.value) == "line 3: pid 41 mapped to more than one job at ts 10.0"
 
-    def test_duplicate_pid_from_built_objects_names_the_node(self):
-        # built snapshots and timelines have no input line to name
-        message = "pid 5 mapped to more than one job on node n1 at ts 10.0"
+    def test_duplicate_pid_from_built_snapshots_is_located_and_from_timelines_names_the_node(self):
+        # built snapshots are checked as lines are, each position standing for its line; timelines have no line
         snaps = [pidmap_snap("n1", 10.0, {5: 7}), pidmap_snap("n1", 10.0, {5: 8})]
+        with pytest.raises(DuplicatePid) as exc:
+            build_timelines(snaps, [job_record(7), job_record(8)])
+        assert str(exc.value) == "line 2: pid 5 mapped to more than one job at ts 10.0"
+        assert (exc.value.line_no, exc.value.node_id) == (2, "n1")
         timelines = {
             7: PidTimeline(7, "n1", ((10.0, frozenset({5})),)),
             8: PidTimeline(8, "n1", ((10.0, frozenset({5})),)),
         }
-        for build in (
-            lambda: build_timelines(snaps, [job_record(7), job_record(8)]),
-            lambda: ownership_index(timelines),
-        ):
-            with pytest.raises(DuplicatePid) as exc:
-                build()
-            assert str(exc.value) == message
-            assert (exc.value.line_no, exc.value.node_id) == (None, "n1")
+        with pytest.raises(DuplicatePid) as exc:
+            ownership_index(timelines)
+        assert str(exc.value) == "pid 5 mapped to more than one job on node n1 at ts 10.0"
+        assert (exc.value.line_no, exc.value.node_id) == (None, "n1")
+
+    @pytest.mark.parametrize("job_id", [0, -1])
+    def test_timelines_of_a_job_id_below_1_are_rejected(self, job_id):
+        # read_pidmap rejects such an owner; folded in, job 0 would be listed apart from the unattributed bucket
+        timelines = {7: PidTimeline(7, "n1", ((0.0, frozenset({6})),)), job_id: PidTimeline(job_id, "n1", ((0.0, frozenset({5})),))}
+        with pytest.raises(WattscopeError, match=rf"^invalid job id {job_id} \(0 is reserved\)$"):
+            ownership_index(timelines)
 
     def test_errors_come_in_pair_order_within_a_line(self):
         with pytest.raises(DuplicatePid):

@@ -25,6 +25,7 @@ from wattscope import (
     Interval,
     JobEnergy,
     JobPower,
+    MalformedLine,
     SliceColumns,
     apply_calibration,
     integrate_energy,
@@ -188,11 +189,17 @@ class TestSliceColumns:
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_a_watt_json_cannot_write_is_an_error(self, bad):
-        s = AttributionSlice(Interval(0.0, 1.0), "n1", {7: JobPower(bad, 0.0)}, 0.0, 0.0)
+        # built slices are checked as lines are, so the watt fails at its slice's position, before any write
+        ok = AttributionSlice(Interval(0.0, 1.0), "n1", {7: JobPower(10.0, 0.0)}, 0.0, 0.0)
+        s = AttributionSlice(Interval(1.0, 2.0), "n1", {7: JobPower(bad, 0.0)}, 0.0, 0.0)
+        with pytest.raises(MalformedLine) as exc:
+            serialize_slices([ok, s])
+        assert str(exc.value) == "line 2: missing or invalid 'cpu_w'"
+        # calibration can take an ext watt past the float range; writing it fails as json.dumps does
         with pytest.raises(ValueError) as exc:
-            serialize_slices([s])
+            serialize_slices(apply_calibration(CalibrationModel("n1", 1e308, 0.0, 2), SliceColumns.of([ok])))
         with pytest.raises(ValueError) as want:
-            json.dumps(bad, allow_nan=False)
+            json.dumps(float("inf"), allow_nan=False)
         assert str(exc.value) == str(want.value)
 
 
