@@ -56,9 +56,13 @@ print(time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(st
 # one in-process run of the command path; prints {stage: [seconds, current bytes, peak bytes]} as JSON
 WORKER = """
 import json, sys, time, tracemalloc
-from wattscope.attribution import attribute_columns, integrate_energy, read_slices, serialize_slices
+from wattscope.attribution import integrate_energy, read_slices, serialize_slices
 from wattscope.jobs import check_owners, parse_jobs, read_pidmap
 from wattscope.traces import read_power_trace, read_proc_trace
+try:
+    from wattscope.split import attribute_columns
+except ImportError:  # a tree from before the node split had a module of its own
+    from wattscope.attribution import attribute_columns
 
 d, records = sys.argv[1], sys.argv[2] == "1"
 

@@ -30,9 +30,9 @@ _EXPORTS = {
     "jobs": (
         "UNATTRIBUTED_JOB", "JobRecord", "PidMapSnapshot", "PidTimeline", "build_timelines", "parse_jobs", "parse_pidmap",
     ),
+    "lines": ("canonical_ts",),
     "traces": (
-        "PowerSample", "ProcSnapshot", "Source", "TraceBundle", "canonical_ts", "parse_power_trace", "parse_proc_trace",
-        "parse_source",
+        "PowerSample", "ProcSnapshot", "Source", "TraceBundle", "parse_power_trace", "parse_proc_trace", "parse_source",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

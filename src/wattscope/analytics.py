@@ -15,21 +15,12 @@ from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import MissingCapacity, UnknownJob, WattscopeError
-from .traces import (
-    DEFAULT_BINS,
-    J_PER_KWH,
-    MEM_PCT,
-    SHARE_COLUMNS,
-    SM_PCT,
-    ProcColumns,
-    ProcSnapshot,
-    _dumps,
-    _render,
-)
+from .lines import DEFAULT_BINS, J_PER_KWH, MEM_PCT, SHARE_COLUMNS, SM_PCT, _dumps, _render
 
-if TYPE_CHECKING:  # calibrate and report gpu-hist load this module, and neither loads attribution or jobs
+if TYPE_CHECKING:  # report gpu-hist never loads attribution, and the breakdowns never load traces
     from .attribution import JobEnergy
     from .jobs import JobRecord
+    from .traces import ProcColumns, ProcSnapshot
 
 # canonical display order for the well-known scheduler states
 KNOWN_STATUSES = ("COMPLETED", "FAILED", "CANCELLED", "TIMEOUT")
@@ -171,6 +162,8 @@ def gpu_histogram(
         raise ValueError(f"unknown metric {metric!r}")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
+
+    from .traces import ProcColumns
 
     cols = procs if isinstance(procs, ProcColumns) else ProcColumns.of(procs)
     node_of = [cols.nodes[n] for n in cols.node_of]

@@ -22,10 +22,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from math import fsum, isfinite
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInput, MalformedLine
-from .traces import CPU, GPU, EXT, PowerColumns, PowerSample, _dumps, _field_int, _field_num, _field_str, _interp, iter_records
+from .lines import CPU, GPU, EXT, _dumps, _field_int, _field_num, _field_str, iter_records
+
+if TYPE_CHECKING:  # a report with --model loads this module for parse_models, and never reads a power trace
+    from .traces import PowerColumns, PowerSample
 
 
 def __getattr__(name: str):
@@ -143,6 +146,8 @@ def fit_nodes(
         DegenerateInput: no node yields a usable fit; the message gives
             each metered node's reason.
     """
+    from .traces import PowerColumns, _interp
+
     software, external = (p if isinstance(p, PowerColumns) else PowerColumns.of(p) for p in (software, external))
     soft: dict[str, list] = {}  # node -> (ts, w) per software series, in tag order
     for key, source, ts, w in sorted(zip(software.keys, software.sources, software.ts, software.w)):

@@ -10,12 +10,14 @@ empty on failure; diagnostics (with line numbers) go to stderr.
 Identical argv and input files produce byte-identical stdout.
 --threads is accepted and validated but has no effect.
 Each command imports only the modules it runs, so that its start-up
-stays near the interpreter's own.
+stays near the interpreter's own, and main skips the interpreter's final
+garbage collection.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -80,7 +82,7 @@ def _positive(number: Callable[[str], float]) -> Callable[[str], float | None]:
 
 
 def _build_parser() -> _Parser:
-    from .traces import DEFAULT_BINS, MEM_PCT, SHARE_COLUMNS, SM_PCT
+    from .lines import DEFAULT_BINS, MEM_PCT, SHARE_COLUMNS, SM_PCT
 
     parser = _Parser(prog="wattscope", description=__doc__.splitlines()[0])
     parser.set_defaults(**dict.fromkeys(_PATHS, None))
@@ -202,7 +204,7 @@ def _load_slices(args: argparse.Namespace, jobs: Sequence[JobRecord] | None = No
         from .attribution import read_slices
 
         return _parse_file(args.slices, read_slices)
-    from .attribution import attribute_columns
+    from .split import attribute_columns
     from .traces import read_power_trace, read_proc_trace
 
     _require(args, ("power", "proc", "pidmap", "jobs"), "computing slices")
@@ -229,15 +231,14 @@ def _apply_models(slices: SliceColumns, path: str) -> SliceColumns:
 
 def _cmd_validate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from .jobs import parse_jobs, read_pidmap
-    from .traces import EXT, read_power_trace, read_proc_trace
 
-    readers = {
-        "power": read_power_trace,
-        "proc": read_proc_trace,
-        "pidmap": read_pidmap,
-        "jobs": parse_jobs,
-        "external": partial(read_power_trace, expected_kind=EXT),
-    }
+    readers = {"power": None, "proc": None, "pidmap": read_pidmap, "jobs": parse_jobs, "external": None}  # in ok: line order
+    if (args.power, args.proc, args.external) != (None, None, None):  # the only inputs that need traces loaded
+        from .lines import EXT
+        from .traces import read_power_trace, read_proc_trace
+
+        readers.update(power=read_power_trace, proc=read_proc_trace,
+                       external=partial(read_power_trace, expected_kind=EXT))
     if args.slices is not None:  # the only input that needs attribution loaded
         from .attribution import read_slices
 
@@ -267,7 +268,8 @@ def _cmd_attribute(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from .calibration import fit_nodes, serialize_models
-    from .traces import EXT, _render, read_power_trace
+    from .lines import EXT, _render
+    from .traces import read_power_trace
 
     _require(args, ("power", "external"), "calibrate")
     software = _parse_file(args.power, read_power_trace)
@@ -357,5 +359,13 @@ def run(
 
 
 def main() -> None:
-    """The console script and `python -m wattscope`."""
-    sys.exit(run())
+    """The console script and `python -m wattscope`.
+
+    Every object still alive when run returns lives until the process ends,
+    so gc.freeze moves them all out of the interpreter's reach: its final
+    collections, run after sys.exit, then have nothing to scan.  stdout and
+    stderr are still flushed and atexit handlers still run.
+    """
+    code = run()
+    gc.freeze()
+    sys.exit(code)

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DuplicatePid, MalformedLine, MultiNodeJob, UnknownJob, WattscopeError
-from .traces import _field_int, _field_num, _field_str, canonical_ts, iter_records
+from .lines import _field_int, _field_num, _field_str, canonical_ts, iter_records
 
 UNATTRIBUTED_JOB = 0
 OwnerIndex = dict  # node -> (sorted snapshot ts list, {pid: job_id} per snapshot)
@@ -183,8 +183,7 @@ def build_timelines(
         DuplicatePid: conflicting assignments merged at the same (node, ts).
         UnknownJob, MultiNodeJob: as check_owners.
     """
-    records = ({"node": s.node_id, "ts": s.ts, "map": [list(p) if isinstance(p, tuple) else p for p in s.assignments]}
-               for s in snapshots)  # a pair that is not a tuple reaches the reader's checks as it is
+    records = ({"node": s.node_id, "ts": s.ts, "map": _wire_map(s.assignments)} for s in snapshots)
     index = _step_index(_pidmap(enumerate(records, 1)))
     jobs_by_id = check_owners(index, jobs)
 
@@ -201,6 +200,18 @@ def build_timelines(
         entries = tuple((ts, frozenset(pids_at.get(ts, ()))) for ts in node_ts)
         timelines[job_id] = PidTimeline(job_id, job.node_id, entries)
     return timelines
+
+
+def _wire_map(assignments):
+    """A snapshot's assignments as a pidmap line's "map", its tuple pairs as lists.
+
+    Assignments that are not a tuple or list, and a pair that is not a
+    tuple, reach the reader's checks as they are, to pass or fail as the
+    same value on a line would.
+    """
+    if not isinstance(assignments, (tuple, list)):
+        return assignments
+    return [list(p) if isinstance(p, tuple) else p for p in assignments]
 
 
 def ownership_index(timelines: Mapping[int, PidTimeline]) -> OwnerIndex:

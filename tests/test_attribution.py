@@ -24,8 +24,9 @@ from wattscope import (
     serialize_slices,
     slice_coverage,
 )
-from wattscope.attribution import attribute_columns, read_slices
+from wattscope.attribution import read_slices
 from wattscope.jobs import read_pidmap
+from wattscope.split import attribute_columns
 from wattscope.traces import read_power_trace, read_proc_trace
 from helpers import (
     frac_shares,

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -733,3 +734,22 @@ class TestModuleEntryPoint:
         for r in runs:
             assert r.returncode == 0
             assert r.stdout == expected
+
+    @pytest.mark.parametrize("case", ["success", "input_error", "usage_error"])
+    def test_the_console_path_writes_what_run_writes(self, fixture, tmp_path, case):
+        # main freezes the surviving objects before sys.exit; stdout and stderr must still be flushed whole,
+        # so the command runs with its streams buffered, as they are by default
+        code, slices, _ = run_cli("attribute", "--power", fixture["power"], "--proc", fixture["proc"],
+                                  "--pidmap", fixture["pidmap"], "--jobs", fixture["jobs"])
+        assert code == 0
+        slices_path = tmp_path / "slices.jsonl"
+        slices_path.write_text(slices, encoding="utf-8")
+        jobs = fixture["jobs"] if case != "input_error" else write_lines(tmp_path / "bad_jobs.jsonl", ["{}", "not json"])
+        argv = ["report", "status", "--jobs", jobs, "--slices", str(slices_path), "--model", fixture["model"]]
+        if case == "usage_error":
+            argv += ["--format", "xml"]
+        expected = run_cli(*argv)
+        assert expected[0] == {"success": 0, "input_error": 1, "usage_error": 2}[case]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        r = subprocess.run([sys.executable, "-m", "wattscope", *argv], capture_output=True, timeout=120, env=env)
+        assert (r.returncode, r.stdout, r.stderr.decode("utf-8")) == (expected[0], expected[1].encode("utf-8"), expected[2])

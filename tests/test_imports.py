@@ -4,12 +4,15 @@ Every CLI command is a fresh interpreter, so an import that a command never
 uses is paid on each call.  `import wattscope` loads none of the package's
 modules; each public name loads its module on first access, and the CLI
 imports each module in the command that runs it, so validate reads with
-traces and jobs alone.  calibrate and report gpu-hist never load
-attribution: calibrate fits and prints with calibration and traces, and
-gpu-hist reads proc, and the pidmap and jobs for --per-job-mean.  No command
-loads numpy: the attribution split, calibrate's fit and every report run on
-the stdlib, so attribute and report on raw traces load it no more than the
-rest, and the record functions (parse_power_trace and fit_nodes,
+lines, traces and jobs alone, and loads traces only for the power, proc and
+external files.  calibrate and report gpu-hist never load attribution:
+calibrate fits and prints with calibration and traces, and gpu-hist reads
+proc, and the pidmap and jobs for --per-job-mean.  Only attribute and the
+reports on raw traces load the node split (split) and the trace readers; a
+report on saved slices loads neither.  No command loads numpy: the
+attribution split, calibrate's fit and every report run on the stdlib, so
+attribute and report on raw traces load it no more than the rest, and the
+record functions (parse_power_trace and fit_nodes,
 parse_slices and integrate_energy) do not load it either.  No command loads
 concurrent.futures or dataclasses, and the CLI starts no thread, whatever
 OPENBLAS_NUM_THREADS says.  Each check runs in a subprocess so that modules
@@ -102,7 +105,30 @@ def test_report_on_raw_traces_does_not_load_numpy(tmp_path):
     f = write_status_split_fixture(tmp_path)
     steps, modules = probe([("report_raw", ["report", "status", *raw_flags(f), "--model", f["model"]])])
     assert steps["report_raw"] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}
-    assert "wattscope.attribution" in modules["report_raw"]
+    assert {"wattscope.attribution", "wattscope.split", "wattscope.traces"} <= set(modules["report_raw"])
+
+
+def test_attribute_loads_the_split(tmp_path):
+    f = write_status_split_fixture(tmp_path)
+    steps, modules = probe([("attribute", ["attribute", *raw_flags(f)])])
+    assert steps["attribute"]["code"] == 0
+    assert modules["attribute"] == [f"wattscope.{name}" for name in
+                                    ("attribution", "cli", "errors", "jobs", "lines", "split", "traces")]
+
+
+@pytest.mark.parametrize("what", ["status", "user"])
+@pytest.mark.parametrize("model", [False, True], ids=["no-model", "model"])
+def test_a_report_on_saved_slices_loads_neither_the_split_nor_the_trace_readers(tmp_path, what, model):
+    f = write_status_split_fixture(tmp_path)
+    out = io.StringIO()
+    assert run(["attribute", *raw_flags(f)], stdout=out, stderr=io.StringIO()) == 0
+    slices = tmp_path / "slices.jsonl"
+    slices.write_text(out.getvalue(), encoding="utf-8")
+    argv = ["report", what, "--jobs", f["jobs"], "--slices", str(slices), *(["--model", f["model"]] if model else [])]
+    steps, modules = probe([("report", argv)])
+    assert steps["report"] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}
+    expected = ["analytics", "attribution", *(["calibration"] if model else []), "cli", "errors", "jobs", "lines"]
+    assert modules["report"] == [f"wattscope.{name}" for name in expected]
 
 
 def test_record_path_does_not_load_numpy(tmp_path):
@@ -130,8 +156,16 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     steps, modules = probe([("validate", ["validate", *raw_flags(f), "--external", f["external"]])])
     assert modules["import"] == []
     assert modules["cli"] == ["wattscope.cli", "wattscope.errors"]
-    assert modules["validate"] == ["wattscope.cli", "wattscope.errors", "wattscope.jobs", "wattscope.traces"]
+    assert modules["validate"] == ["wattscope.cli", "wattscope.errors", "wattscope.jobs", "wattscope.lines",
+                                   "wattscope.traces"]
     assert steps["validate"] == {"code": 0, "numpy": False, "concurrent.futures": False, "dataclasses": False}
+
+
+def test_validate_on_the_jobs_file_alone_loads_no_trace_reader(tmp_path):
+    f = write_status_split_fixture(tmp_path)
+    steps, modules = probe([("validate", ["validate", "--jobs", f["jobs"]])])
+    assert steps["validate"]["code"] == 0
+    assert modules["validate"] == ["wattscope.cli", "wattscope.errors", "wattscope.jobs", "wattscope.lines"]
 
 
 def test_calibrate_and_gpu_hist_never_load_attribution(tmp_path):
@@ -139,8 +173,8 @@ def test_calibrate_and_gpu_hist_never_load_attribution(tmp_path):
     calibrate = ["calibrate", "--power", f["power"], "--external", f["external"], "--format", "csv"]
     gpu_hist = ["report", "gpu-hist", "--proc", f["proc"], "--per-job-mean", "--pidmap", f["pidmap"], "--jobs", f["jobs"]]
     for argv, expected in (
-        (calibrate, ["calibration", "cli", "errors", "traces"]),
-        (gpu_hist, ["analytics", "cli", "errors", "jobs", "traces"]),
+        (calibrate, ["calibration", "cli", "errors", "lines", "traces"]),
+        (gpu_hist, ["analytics", "cli", "errors", "jobs", "lines", "traces"]),
     ):
         steps, modules = probe([("command", argv)])
         assert modules["command"] == [f"wattscope.{name}" for name in expected], argv

@@ -38,9 +38,9 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from wattscope import TraceBundle, attribute, build_timelines, integrate_energy, parse_jobs, parse_slices
-from wattscope.attribution import attribute_columns
 from wattscope.cli import run
 from wattscope.jobs import check_owners, read_pidmap
+from wattscope.split import attribute_columns
 from wattscope.traces import read_power_trace, read_proc_trace
 from helpers import (
     is_gap,

@@ -3,9 +3,12 @@
 PowerColumns.of, ProcColumns.of, SliceColumns.of and build_timelines put
 their records through the loops of read_power_trace, read_proc_trace,
 read_slices and read_pidmap, each record's 1-based position standing for
-its line.  The differential tests below draw values a JSON line can carry,
-valid or not, write the records with helpers.jsonl, and require both paths
-to give the same columns (compared byte for byte) or the same error.
+its line.  A field of the wrong shape (assignments or per_job that are no
+sequence or mapping, a job entry that is no JobPower) reaches the loop as
+it is, and fails as the same value on a line.  The differential tests
+below draw values a JSON line can carry, valid or not, write the records
+with helpers.jsonl, and require both paths to give the same columns
+(compared byte for byte) or the same error.
 """
 
 import math
@@ -28,11 +31,13 @@ from wattscope import (
     attribute,
     build_timelines,
     gpu_histogram,
+    integrate_energy,
     parse_pidmap,
     parse_source,
     read_slices,
     serialize_slices,
 )
+from wattscope.jobs import read_pidmap
 from wattscope.traces import PowerColumns, ProcColumns, read_power_trace, read_proc_trace
 from helpers import job_record, jsonl, pidmap_snap, power_sample, proc_snap
 
@@ -204,3 +209,34 @@ def test_a_non_finite_reading_in_a_record_fails_naming_its_field(field, call, ba
     with pytest.raises(MalformedLine) as exc:
         call(bad)()
     assert str(exc.value) == f"line 2: missing or invalid {field!r}"
+
+
+@pytest.mark.parametrize("assignments, wire", [(None, "null"), (5, "5"), ("12", '"12"')], ids=["none", "int", "str"])
+def test_assignments_of_the_wrong_shape_fail_as_their_line(assignments, wire):
+    with pytest.raises(MalformedLine) as exc:
+        build_timelines([pidmap_snap("n1", 0.0, {}), PidMapSnapshot("n1", 1.0, assignments)], [])
+    with pytest.raises(MalformedLine) as want:
+        read_pidmap(['{"node":"n1","ts":0.0,"map":[]}', '{"node":"n1","ts":1.0,"map":%s}' % wire])
+    assert str(exc.value) == str(want.value) == "line 2: missing or invalid 'map'"
+
+
+SHAPE_CASES = [  # per_job, the same value on the wire, the error's detail
+    (None, "null", "missing or invalid 'jobs'"),
+    (5, "5", "missing or invalid 'jobs'"),
+    ([], "[]", "missing or invalid 'jobs'"),
+    ({7: None}, '{"7":null}', "invalid job entry for '7'"),
+    ({7: 1.5}, '{"7":1.5}', "invalid job entry for '7'"),
+    ({7: (1.0, 2.0)}, '{"7":[1.0,2.0]}', "invalid job entry for '7'"),
+]
+
+
+@pytest.mark.parametrize("call", [serialize_slices, integrate_energy], ids=["serialize", "integrate"])
+@pytest.mark.parametrize("per_job, wire, detail", SHAPE_CASES, ids=[f"{i}-{wire}" for i, (_, wire, _) in enumerate(SHAPE_CASES)])
+def test_per_job_of_the_wrong_shape_fails_as_its_line(call, per_job, wire, detail):
+    ok = AttributionSlice(Interval(0.0, 1.0), "n1", {7: JobPower(1.0, 1.0)}, 0.0, 0.0)
+    with pytest.raises(MalformedLine) as exc:
+        call([ok, AttributionSlice(Interval(1.0, 2.0), "n1", per_job, 0.0, 0.0)])
+    line = '{"node":"n1","t0":%s,"t1":%s,"jobs":%s,"unattr_cpu_w":0.0,"unattr_gpu_w":0.0}'
+    with pytest.raises(MalformedLine) as want:
+        read_slices([line % (0.0, 1.0, '{"7":{"cpu_w":1.0,"gpu_w":1.0}}'), line % (1.0, 2.0, wire)])
+    assert str(exc.value) == str(want.value) == f"line 2: {detail}"

@@ -33,9 +33,9 @@ from wattscope import (
     serialize_slices,
     slice_coverage,
 )
-from wattscope.attribution import attribute_columns
 from wattscope.cli import run
 from wattscope.jobs import check_owners, read_pidmap
+from wattscope.split import attribute_columns
 from wattscope.traces import read_power_trace, read_proc_trace
 from helpers import is_gap, jsonl, random_scenario, write_status_split_fixture
 

@@ -20,8 +20,8 @@ from wattscope import (
     parse_proc_trace,
     parse_source,
 )
-from wattscope import traces
-from wattscope.attribution import attribute_columns
+from wattscope import lines, traces
+from wattscope.split import attribute_columns
 from helpers import jsonl, lerp_series, ms, power_sample, proc_snap
 
 
@@ -492,7 +492,7 @@ class TestDuplicateProcRecords:
 
 def _power_oracle(obj, line_no, expected_kind=None):
     """The documented field order, checked with the _field_* helpers only."""
-    node = traces._field_str(obj, "node", line_no)
+    node = lines._field_str(obj, "node", line_no)
     src = obj.get("src")
     if not isinstance(src, str):
         raise MalformedLine(line_no, "missing or invalid 'src'")
@@ -502,23 +502,23 @@ def _power_oracle(obj, line_no, expected_kind=None):
         raise MalformedLine(line_no, str(exc)) from None
     if expected_kind is not None and source.kind != expected_kind:
         raise MalformedLine(line_no, f"expected a {expected_kind!r} source, got {src!r}")
-    ts = canonical_ts(traces._field_num(obj, "ts", line_no))
-    w = traces._field_num(obj, "w", line_no)
+    ts = canonical_ts(lines._field_num(obj, "ts", line_no))
+    w = lines._field_num(obj, "w", line_no)
     if w < 0:
         raise NegativePower(line_no)
     return PowerSample(node, source, ts, w)
 
 
 def _proc_oracle(obj, line_no):
-    node = traces._field_str(obj, "node", line_no)
-    ts = canonical_ts(traces._field_num(obj, "ts", line_no))
-    pid = traces._field_int(obj, "pid", line_no, minimum=1)
-    cpu_s = traces._field_num(obj, "cpu_s", line_no)
+    node = lines._field_str(obj, "node", line_no)
+    ts = canonical_ts(lines._field_num(obj, "ts", line_no))
+    pid = lines._field_int(obj, "pid", line_no, minimum=1)
+    cpu_s = lines._field_num(obj, "cpu_s", line_no)
     if cpu_s < 0:
         raise MalformedLine(line_no, "negative cumulative cpu time")
-    gpu = traces._field_int(obj, "gpu", line_no, minimum=0, required=False)
-    sm = traces._field_num(obj, "sm_pct", line_no, required=False)
-    mem = traces._field_num(obj, "mem_mib", line_no, required=False)
+    gpu = lines._field_int(obj, "gpu", line_no, minimum=0, required=False)
+    sm = lines._field_num(obj, "sm_pct", line_no, required=False)
+    mem = lines._field_num(obj, "mem_mib", line_no, required=False)
     if gpu is None and (sm is not None or mem is not None):
         raise MalformedLine(line_no, "gpu utilization without a gpu index")
     if sm is not None and not 0.0 <= sm <= 100.0:
