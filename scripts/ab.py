@@ -24,8 +24,11 @@ integrate_energy, one after another.  A first pass times each stage; a
 second, under tracemalloc, gives the bytes held after each stage and the
 peak during it.  The worker runs with PYTHONHASHSEED=0; even so, runs of
 one tree can differ by some dozens of bytes at a stage, so every distinct
-value is printed.  --records adds attribute() on the parse_* records,
-which costs far more memory than the column path.
+value is printed.  --records adds a stage named attribute(records):
+TraceBundle.build, build_timelines and attribute() on the parse_* records,
+clocked as one, so that moving the record checks between those calls
+does not move the stage's time.  It costs far more memory than the
+column path.
 """
 
 from __future__ import annotations
@@ -82,8 +85,10 @@ def run(clock):
     clock("integrate_energy", integrate_energy, clock("read_slices", read_slices, text))
     if records:
         from wattscope import TraceBundle, attribute, build_timelines, parse_pidmap, parse_power_trace, parse_proc_trace
-        bundle = TraceBundle.build(read(None, "power", parse_power_trace), read(None, "proc", parse_proc_trace))
-        clock("attribute(records)", attribute, bundle, build_timelines(read(None, "pidmap", parse_pidmap), jobs))
+        power, procs = read(None, "power", parse_power_trace), read(None, "proc", parse_proc_trace)
+        pidmap = read(None, "pidmap", parse_pidmap)
+        # one stage, since a tree may check the records in any of the three calls
+        clock("attribute(records)", lambda: attribute(TraceBundle.build(power, procs), build_timelines(pidmap, jobs)))
 
 out = {}
 

@@ -28,7 +28,7 @@ _EXPORTS = {
         "OutOfRangeUtilization", "OverlappingSlices", "TraceError", "UnknownJob", "WattscopeError",
     ),
     "jobs": (
-        "UNATTRIBUTED_JOB", "JobRecord", "PidMapSnapshot", "PidTimeline", "build_timelines", "parse_jobs", "parse_pidmap",
+        "UNATTRIBUTED_JOB", "JobRecord", "PidMapSnapshot", "build_timelines", "parse_jobs", "parse_pidmap",
     ),
     "lines": ("canonical_ts",),
     "traces": (

@@ -33,7 +33,7 @@ from math import isfinite, isinf, nan
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedLine, NodeMismatch, OverlappingSlices, WattscopeError
-from .jobs import UNATTRIBUTED_JOB, PidTimeline, ownership_index
+from .jobs import UNATTRIBUTED_JOB, OwnerIndex
 from .lines import J_PER_KWH, _dumps, _field_num, _field_str, iter_records
 
 if TYPE_CHECKING:
@@ -200,11 +200,7 @@ def _columns(slices: SliceColumns | Iterable[AttributionSlice]) -> SliceColumns:
     return slices if isinstance(slices, SliceColumns) else SliceColumns.of(slices)
 
 
-def attribute(
-    bundle: TraceBundle,
-    timelines: Mapping[int, PidTimeline],
-    threads: int = 1,
-) -> list[AttributionSlice]:
+def attribute(bundle: TraceBundle, owners: OwnerIndex, threads: int = 1) -> list[AttributionSlice]:
     """Attribute node power to jobs over consecutive proc-snapshot intervals.
 
     Per node, every pair of consecutive snapshot timestamps becomes one
@@ -214,8 +210,7 @@ def attribute(
     at the interval midpoint (series not covering the midpoint contribute
     nothing).  GPU activity is taken from the snapshot at interval start.
 
-    The samples and snapshots are checked as their readers check lines,
-    each one's 1-based position in its sequence standing for its line.
+    bundle and owners are checked (TraceBundle.build, build_timelines).
 
     threads is validated and otherwise ignored: the split is pure Python,
     which a thread pool cannot speed up under the GIL.
@@ -223,10 +218,8 @@ def attribute(
     if threads < 1:
         raise ValueError("threads must be >= 1")
     from .split import attribute_columns
-    from .traces import PowerColumns, ProcColumns
 
-    power, procs = PowerColumns.of(bundle.power), ProcColumns.of(bundle.procs)
-    return attribute_columns(power, procs, ownership_index(timelines)).slices()
+    return attribute_columns(bundle.power, bundle.procs, owners).slices()
 
 
 def _ms(t: float) -> int | float:

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: validate, attribute, calibrate, report (status | user |
-gpu-hist).  Every flag falls back to a WATTSCOPE_* environment variable
-(e.g. --power -> WATTSCOPE_POWER).  Exit codes: 0 success, 1 input
-validation failure, 2 usage error; bad option values are reported in
-argv order, then those from the environment.  Results go to stdout and
+gpu-hist).  Every option that takes a value falls back to a WATTSCOPE_*
+environment variable (e.g. --power -> WATTSCOPE_POWER).  Exit codes: 0
+success, 1 input validation failure, 2 usage error; bad option values are
+reported in argv order, then those from the environment.  Results go to stdout and
 are written only after the whole command has succeeded, so stdout is
 empty on failure; diagnostics (with line numbers) go to stderr.
 Identical argv and input files produce byte-identical stdout.
@@ -54,6 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Places the help column as Python 3.13 does, counting each subcommand's indent, on older Pythons too."""
+
+    def add_argument(self, action):
+        if action.help is not argparse.SUPPRESS:
+            for sub in self._iter_indented_subactions(action):
+                width = len(self._format_action_invocation(sub)) + self._current_indent
+                self._action_max_length = max(self._action_max_length, width)
+        super().add_argument(action)
+
+
 def _checked(flag: str, expected: str, parse: Callable[[str], object]) -> Callable[[str], object]:
     """An argparse type for flag: parse's value, or a usage error when parse gives None or fails.
 
@@ -84,7 +95,7 @@ def _positive(number: Callable[[str], float]) -> Callable[[str], float | None]:
 def _build_parser() -> _Parser:
     from .lines import DEFAULT_BINS, MEM_PCT, SHARE_COLUMNS, SM_PCT
 
-    parser = _Parser(prog="wattscope", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="wattscope", description=__doc__.splitlines()[0], formatter_class=_HelpFormatter)
     parser.set_defaults(**dict.fromkeys(_PATHS, None))
     sub = parser.add_subparsers(dest="command", metavar="command")
 

@@ -53,18 +53,10 @@ class OutOfRangeUtilization(TraceError):
 
 
 class DuplicatePid(TraceError):
-    """A pid was assigned to more than one job within a single snapshot.
+    """A pid was assigned to more than one job within a single snapshot."""
 
-    Read from a file or built snapshots, it names the line.  Folded from
-    timelines, which have no line, it names the node instead and line_no is None.
-    """
-
-    def __init__(self, pid: int, ts: float, line_no: int | None = None, node_id: str = ""):
-        if line_no is None:
-            WattscopeError.__init__(self, f"pid {pid} mapped to more than one job on node {node_id} at ts {ts}")
-            self.line_no = None
-        else:
-            super().__init__(line_no, f"pid {pid} mapped to more than one job at ts {ts}")
+    def __init__(self, pid: int, ts: float, line_no: int, node_id: str):
+        super().__init__(line_no, f"pid {pid} mapped to more than one job at ts {ts}")
         self.pid = pid
         self.ts = ts
         self.node_id = node_id

@@ -11,15 +11,15 @@ its ts until the next snapshot on the same node.  Work that no snapshot
 ties to a job belongs to the reserved UNATTRIBUTED pseudo-job (id 0);
 real job ids are positive.
 Ownership is one per-node step index (OwnerIndex) that read_pidmap builds
-and check_owners checks; PidMapSnapshot and PidTimeline derive from it.
+and check_owners checks; build_timelines gives it for PidMapSnapshot records.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DuplicatePid, MalformedLine, MultiNodeJob, UnknownJob, WattscopeError
+from .errors import DuplicatePid, MalformedLine, MultiNodeJob, UnknownJob
 from .lines import _field_int, _field_num, _field_str, canonical_ts, iter_records
 
 UNATTRIBUTED_JOB = 0
@@ -44,52 +44,17 @@ class PidMapSnapshot(NamedTuple):
     assignments: tuple[tuple[int, int], ...]  # (pid, job_id), sorted by pid
 
 
-class PidTimeline(NamedTuple):
-    """A job's observed pid set at each snapshot instant on its node.
-
-    Entries are (ts, pids) with strictly increasing ts; a set is valid
-    from its ts until the next entry.  An empty set means the job was
-    alive but had no observed processes.  A job that never appears in
-    any snapshot has an empty entries tuple.
-    """
-
-    job_id: int
-    node_id: str
-    entries: tuple[tuple[float, frozenset[int]], ...]
-
-
-def _step_index(snapshots: Iterable[tuple[str, float, Iterable[tuple[int, int]], int | None]]) -> OwnerIndex:
-    """Merge (node, ts, (pid, job_id) pairs, line_no) snapshots that share (node, ts) into the step index.
-
-    line_no is None for the snapshots that ownership_index folds from timelines, which have no input line.
-
-    Pairs are read in order, so an error a pair iterator raises comes in
-    file order with the DuplicatePid raised here for a pid given two jobs.
-    """
-    merged: dict[tuple[str, float], dict[int, int]] = {}
-    for node, ts, pairs, line_no in snapshots:
-        assignments = merged.setdefault((node, ts), {})
-        for pid, job_id in pairs:
-            if assignments.setdefault(pid, job_id) != job_id:
-                raise DuplicatePid(pid, ts, line_no, node)
-    index: OwnerIndex = {}
-    for node, ts in sorted(merged):
-        ts_list, owners = index.setdefault(node, ([], []))
-        ts_list.append(ts)
-        owners.append(merged[(node, ts)])
-    return index
-
-
 def read_pidmap(lines: Iterable[str]) -> OwnerIndex:
     """Read pidmap lines into the step index, merging records that share (node, ts).
 
     Raises MalformedLine and DuplicatePid.
     """
-    return _step_index(_pidmap(iter_records(lines)))
+    return _pidmap(iter_records(lines))
 
 
-def _pidmap(records: Iterable[tuple[int, dict]]):
-    """read_pidmap's loop on (line_no, object) pairs: (node, ts, pairs, line_no) per record, for _step_index."""
+def _pidmap(records: Iterable[tuple[int, dict]]) -> OwnerIndex:
+    """read_pidmap on (line_no, object) pairs; pairs are checked in order, so errors come in file order."""
+    merged: dict[tuple[str, float], dict[int, int]] = {}
     known: dict[int, int] = {}  # one int object per distinct pid across snapshots
     for line_no, obj in records:
         node = _field_str(obj, "node", line_no)
@@ -97,20 +62,24 @@ def _pidmap(records: Iterable[tuple[int, dict]]):
         raw_map = obj.get("map")
         if not isinstance(raw_map, list):
             raise MalformedLine(line_no, "missing or invalid 'map'")
-        yield node, ts, _pairs(raw_map, line_no, known), line_no
-
-
-def _pairs(raw_map: list, line_no: int, known: dict[int, int]):
-    for pair in raw_map:
-        # JSON gives exact types, so this excludes bools and floats
-        if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
-            raise MalformedLine(line_no, "map entries must be [pid, job_id] integer pairs")
-        pid, job_id = pair
-        if pid < 1:
-            raise MalformedLine(line_no, f"invalid pid {pid}")
-        if job_id < 1:
-            raise MalformedLine(line_no, f"invalid job id {job_id} (0 is reserved)")
-        yield known.setdefault(pid, pid), job_id
+        assignments = merged.setdefault((node, ts), {})
+        for pair in raw_map:
+            # JSON gives exact types, so this excludes bools and floats
+            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+                raise MalformedLine(line_no, "map entries must be [pid, job_id] integer pairs")
+            pid, job_id = pair
+            if pid < 1:
+                raise MalformedLine(line_no, f"invalid pid {pid}")
+            if job_id < 1:
+                raise MalformedLine(line_no, f"invalid job id {job_id} (0 is reserved)")
+            if assignments.setdefault(known.setdefault(pid, pid), job_id) != job_id:
+                raise DuplicatePid(pid, ts, line_no, node)
+    index: OwnerIndex = {}
+    for node, ts in sorted(merged):
+        ts_list, owners = index.setdefault(node, ([], []))
+        ts_list.append(ts)
+        owners.append(merged[(node, ts)])
+    return index
 
 
 def check_owners(index: OwnerIndex, jobs: Sequence[JobRecord]) -> dict[int, JobRecord]:
@@ -166,40 +135,16 @@ def parse_jobs(lines: Iterable[str]) -> list[JobRecord]:
     return records
 
 
-def build_timelines(
-    snapshots: Sequence[PidMapSnapshot], jobs: Sequence[JobRecord]
-) -> dict[int, PidTimeline]:
-    """Build one pid timeline per job from pidmap snapshots.
+def build_timelines(snapshots: Sequence[PidMapSnapshot], jobs: Sequence[JobRecord]) -> OwnerIndex:
+    """The step index of pidmap snapshots, checked as read_pidmap and check_owners check lines.
 
-    The snapshots are checked as read_pidmap checks lines, snapshot i (from
-    1) standing for line i.  Insensitive to snapshot input order.  A job
-    that appears in at least one snapshot gets an entry at every snapshot ts
-    on its node (with an empty set where it is absent), so step-hold lookups
-    match the latest snapshot at or before t.  Jobs never observed get no
-    entries.
-
-    Raises:
-        MalformedLine: a snapshot that read_pidmap would reject.
-        DuplicatePid: conflicting assignments merged at the same (node, ts).
-        UnknownJob, MultiNodeJob: as check_owners.
+    Snapshot i (from 1) stands for line i in any error; snapshots that
+    share (node, ts) merge, in any input order.
     """
     records = ({"node": s.node_id, "ts": s.ts, "map": _wire_map(s.assignments)} for s in snapshots)
-    index = _step_index(_pidmap(enumerate(records, 1)))
-    jobs_by_id = check_owners(index, jobs)
-
-    observed: dict[int, dict[float, set[int]]] = {}
-    for ts_list, owners_list in index.values():
-        for ts, owners in zip(ts_list, owners_list):
-            for pid, job_id in owners.items():
-                observed.setdefault(job_id, {}).setdefault(ts, set()).add(pid)
-
-    timelines: dict[int, PidTimeline] = {}
-    for job_id, job in jobs_by_id.items():
-        pids_at = observed.get(job_id)
-        node_ts = index[job.node_id][0] if pids_at else ()
-        entries = tuple((ts, frozenset(pids_at.get(ts, ()))) for ts in node_ts)
-        timelines[job_id] = PidTimeline(job_id, job.node_id, entries)
-    return timelines
+    index = _pidmap(enumerate(records, 1))
+    check_owners(index, jobs)
+    return index
 
 
 def _wire_map(assignments):
@@ -214,17 +159,9 @@ def _wire_map(assignments):
     return [list(p) if isinstance(p, tuple) else p for p in assignments]
 
 
-def ownership_index(timelines: Mapping[int, PidTimeline]) -> OwnerIndex:
-    """Fold timelines back into the per-node step index.
+def ownership_index(owners: OwnerIndex) -> OwnerIndex:
+    """owners, unchanged: kept only because perfbench/traced.py calls this name (tests/test_benchmark_names.py).
 
-    Raises DuplicatePid when two timelines hold one pid on a node at one ts,
-    and WattscopeError for a job id below 1, which no job record has.
+    It goes with the record API (ROADMAP items 1 and 2).
     """
-    if timelines and min(timelines) < 1:
-        raise WattscopeError(f"invalid job id {min(timelines)} (0 is reserved)")
-    return _step_index(
-        (timelines[job_id].node_id, ts, ((pid, job_id) for pid in sorted(pids)), None)
-        for job_id in sorted(timelines)
-        for ts, pids in timelines[job_id].entries
-    )
-
+    return owners

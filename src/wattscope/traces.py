@@ -91,14 +91,15 @@ class ProcSnapshot(NamedTuple):
 
 
 class TraceBundle(NamedTuple):
-    """Power samples and process snapshots replayed together."""
+    """Power and process columns replayed together."""
 
-    power: tuple[PowerSample, ...]
-    procs: tuple[ProcSnapshot, ...]
+    power: PowerColumns
+    procs: ProcColumns
 
     @classmethod
-    def build(cls, power: Sequence[PowerSample], procs: Sequence[ProcSnapshot]) -> "TraceBundle":
-        return cls(tuple(power), tuple(procs))
+    def build(cls, power: Iterable[PowerSample], procs: Iterable[ProcSnapshot]) -> "TraceBundle":
+        """The columns of built records, each checked as its reader checks lines (PowerColumns.of, ProcColumns.of)."""
+        return cls(PowerColumns.of(power), ProcColumns.of(procs))
 
 
 class PowerColumns:

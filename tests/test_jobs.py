@@ -9,15 +9,13 @@ from wattscope import (
     MalformedLine,
     MultiNodeJob,
     PidMapSnapshot,
-    PidTimeline,
     TraceError,
     UnknownJob,
-    WattscopeError,
     build_timelines,
     parse_jobs,
     parse_pidmap,
 )
-from wattscope.jobs import check_owners, owner_at, ownership_index, read_pidmap
+from wattscope.jobs import check_owners, owner_at, read_pidmap
 from helpers import job_pids_oracle, job_record, jsonl, owner_oracle, pidmap_snap
 
 
@@ -63,8 +61,10 @@ class TestParsePidmap:
             parse_pidmap([pidmap_line(mapping=[[41, 7]]), pidmap_line(mapping=[[41, 8]])])
 
     def test_job_zero_reserved(self):
-        with pytest.raises(MalformedLine):
-            parse_pidmap([pidmap_line(mapping=[[42, 0]])])
+        for build in (lambda: parse_pidmap([pidmap_line(mapping=[[42, 0]])]),
+                      lambda: build_timelines([PidMapSnapshot("n1", 0.0, ((5, 0),))], [])):
+            with pytest.raises(MalformedLine, match=r"^line 1: invalid job id 0 \(0 is reserved\)$"):
+                build()
 
     def test_bad_map_entries(self):
         for entry in ([1], [1.5, 7], [42, 7.0], [True, 7], [42, False], [42, 7, 1], "42", {"42": 7}, None):
@@ -127,10 +127,8 @@ class TestParseJobs:
 
 
 class TestBuildTimelines:
-    def test_job_never_observed_has_empty_entries(self):
-        jobs = [job_record(7)]
-        timelines = build_timelines([], jobs)
-        assert timelines[7].entries == ()
+    def test_no_snapshots_give_an_empty_index(self):
+        assert build_timelines([], [job_record(7)]) == {}
 
     def test_entries_cover_every_node_snapshot(self):
         jobs = [job_record(7), job_record(8)]
@@ -139,17 +137,10 @@ class TestBuildTimelines:
             pidmap_snap("n1", 20.0, {41: 7, 42: 8}),
             pidmap_snap("n1", 30.0, {42: 8}),
         ]
-        timelines = build_timelines(snaps, jobs)
-        assert timelines[7].entries == (
-            (10.0, frozenset({41})),
-            (20.0, frozenset({41})),
-            (30.0, frozenset()),
-        )
-        assert timelines[8].entries == (
-            (10.0, frozenset()),
-            (20.0, frozenset({42})),
-            (30.0, frozenset({42})),
-        )
+        index = build_timelines(snaps, jobs)
+        assert index == {"n1": ([10.0, 20.0, 30.0], [{41: 7}, {41: 7, 42: 8}, {42: 8}])}
+        assert [owner_at(index, "n1", 41, t) for t in (9.0, 10.0, 25.0, 30.0)] == [None, 7, 7, None]
+        assert [owner_at(index, "n1", 42, t) for t in (15.0, 20.0, 35.0)] == [None, 8, 8]
 
     def test_unknown_job_rejected(self):
         with pytest.raises(UnknownJob) as exc:
@@ -179,35 +170,14 @@ class TestBuildTimelines:
         rng = random.Random(5)
         jobs = [job_record(7), job_record(8), job_record(9)]
         snaps = random_snapshots(rng, n_snaps=30)
-        timelines = build_timelines(snaps, jobs)
+        index = build_timelines(snaps, jobs)
         span_hi = max(s.ts for s in snaps) + 10.0
+        pids = (41, 42, 43, 44, 45, 46)
         for _ in range(1000):
             t = rng.uniform(-5.0, span_hi)
             for job in jobs:
-                tl = timelines[job.job_id]
-                held = frozenset()
-                for ts, pids in tl.entries:
-                    if ts <= t:
-                        held = pids
-                    else:
-                        break
+                held = frozenset(pid for pid in pids if owner_at(index, "n1", pid, t) == job.job_id)
                 assert held == job_pids_oracle(snaps, "n1", job.job_id, t)
-
-    def test_pid_sets_disjoint_at_any_instant(self):
-        rng = random.Random(9)
-        jobs = [job_record(7), job_record(8), job_record(9)]
-        snaps = random_snapshots(rng, n_snaps=25)
-        timelines = build_timelines(snaps, jobs)
-        ts_points = sorted({ts for tl in timelines.values() for ts, _ in tl.entries})
-        for t in ts_points:
-            seen: set[int] = set()
-            for tl in timelines.values():
-                held: frozenset[int] = frozenset()
-                for ts, pids in tl.entries:
-                    if ts <= t:
-                        held = pids
-                assert not (seen & held)
-                seen |= held
 
 
 def owners_of(snaps):
@@ -252,12 +222,7 @@ class TestPidOwner:
         rng = random.Random(21)
         jobs = [job_record(7), job_record(8), job_record(9)]
         snaps = random_snapshots(rng)
-        timelines = build_timelines(snaps, jobs)
-        index = owners_of(snaps)
-        for tl in timelines.values():
-            for ts, pids in tl.entries:
-                for pid in pids:
-                    assert owner_at(index, tl.node_id, pid, ts) == tl.job_id
+        assert build_timelines(snaps, jobs) == owners_of(snaps)
 
 
 SNAP_TS = (0.0, 1.0, 2.5, 4.0)
@@ -322,28 +287,13 @@ class TestReadPidmap:
         assert (exc.value.line_no, exc.value.pid, exc.value.ts) == (3, 41, 10.0)
         assert str(exc.value) == "line 3: pid 41 mapped to more than one job at ts 10.0"
 
-    def test_duplicate_pid_from_built_snapshots_is_located_and_from_timelines_names_the_node(self):
-        # built snapshots are checked as lines are, each position standing for its line; timelines have no line
+    def test_duplicate_pid_from_built_snapshots_is_located(self):
+        # built snapshots are checked as lines are, each position standing for its line
         snaps = [pidmap_snap("n1", 10.0, {5: 7}), pidmap_snap("n1", 10.0, {5: 8})]
         with pytest.raises(DuplicatePid) as exc:
             build_timelines(snaps, [job_record(7), job_record(8)])
         assert str(exc.value) == "line 2: pid 5 mapped to more than one job at ts 10.0"
         assert (exc.value.line_no, exc.value.node_id) == (2, "n1")
-        timelines = {
-            7: PidTimeline(7, "n1", ((10.0, frozenset({5})),)),
-            8: PidTimeline(8, "n1", ((10.0, frozenset({5})),)),
-        }
-        with pytest.raises(DuplicatePid) as exc:
-            ownership_index(timelines)
-        assert str(exc.value) == "pid 5 mapped to more than one job on node n1 at ts 10.0"
-        assert (exc.value.line_no, exc.value.node_id) == (None, "n1")
-
-    @pytest.mark.parametrize("job_id", [0, -1])
-    def test_timelines_of_a_job_id_below_1_are_rejected(self, job_id):
-        # read_pidmap rejects such an owner; folded in, job 0 would be listed apart from the unattributed bucket
-        timelines = {7: PidTimeline(7, "n1", ((0.0, frozenset({6})),)), job_id: PidTimeline(job_id, "n1", ((0.0, frozenset({5})),))}
-        with pytest.raises(WattscopeError, match=rf"^invalid job id {job_id} \(0 is reserved\)$"):
-            ownership_index(timelines)
 
     def test_errors_come_in_pair_order_within_a_line(self):
         with pytest.raises(DuplicatePid):

@@ -37,7 +37,7 @@ from wattscope import (
     read_slices,
     serialize_slices,
 )
-from wattscope.jobs import read_pidmap
+from wattscope.jobs import check_owners, read_pidmap
 from wattscope.traces import PowerColumns, ProcColumns, read_power_trace, read_proc_trace
 from helpers import job_record, jsonl, pidmap_snap, power_sample, proc_snap
 
@@ -159,10 +159,17 @@ class TestRecordsAsLines:
     @settings(max_examples=300, deadline=None)
     @given(pidmap_snapshots, st.lists(st.sampled_from(["n1", "n2"]), min_size=3, max_size=3))
     def test_pidmap_records_read_as_their_lines(self, snaps, job_nodes):
-        # the timelines of the lines come from parse_pidmap's snapshots, which the reader has checked
+        # the index of the lines, as the commands check it, and as built again from parse_pidmap's snapshots
         jobs = [job_record(job_id, node) for job_id, node in zip((1, 2, 7), job_nodes)]
-        from_lines = outcome(lambda: build_timelines(parse_pidmap(lines_of(snaps)), jobs))
+
+        def checked_lines():
+            index = read_pidmap(lines_of(snaps))
+            check_owners(index, jobs)
+            return index
+
+        from_lines = outcome(checked_lines)
         assert outcome(build_timelines, snaps, jobs) == from_lines
+        assert outcome(lambda: build_timelines(parse_pidmap(lines_of(snaps)), jobs)) == from_lines
 
 
 def two_power(bad):
