@@ -179,6 +179,18 @@ class TestBuildTimelines:
                 held = frozenset(pid for pid in pids if owner_at(index, "n1", pid, t) == job.job_id)
                 assert held == job_pids_oracle(snaps, "n1", job.job_id, t)
 
+    def test_pid_sets_disjoint_at_any_instant(self):
+        # at each snapshot instant the jobs' pid sets split that snapshot's pids: none held twice, none lost
+        rng = random.Random(9)
+        jobs = [job_record(7), job_record(8), job_record(9)]
+        snaps = random_snapshots(rng, n_snaps=25)
+        index = build_timelines(snaps, jobs)
+        pids = (41, 42, 43, 44, 45, 46)
+        for snap in snaps:
+            held = [frozenset(pid for pid in pids if owner_at(index, "n1", pid, snap.ts) == job.job_id) for job in jobs]
+            assert sum(map(len, held)) == len(frozenset().union(*held))
+            assert frozenset().union(*held) == frozenset(pid for pid, _ in snap.assignments)
+
 
 def owners_of(snaps):
     """The step index the CLI reads from these snapshots' pidmap lines."""
@@ -294,6 +306,13 @@ class TestReadPidmap:
             build_timelines(snaps, [job_record(7), job_record(8)])
         assert str(exc.value) == "line 2: pid 5 mapped to more than one job at ts 10.0"
         assert (exc.value.line_no, exc.value.node_id) == (2, "n1")
+
+    @pytest.mark.parametrize("job_id", [0, -1])
+    def test_timelines_of_a_job_id_below_1_are_rejected(self, job_id):
+        # read_pidmap rejects such an owner; built snapshots are checked as their lines are
+        snaps = [PidMapSnapshot("n1", 0.0, ((6, 7),)), PidMapSnapshot("n1", 0.0, ((5, job_id),))]
+        with pytest.raises(MalformedLine, match=rf"^line 2: invalid job id {job_id} \(0 is reserved\)$"):
+            build_timelines(snaps, [job_record(7)])
 
     def test_errors_come_in_pair_order_within_a_line(self):
         with pytest.raises(DuplicatePid):
